@@ -26,13 +26,13 @@
 //! **Rule B (no I/O while held):** while a guard of an emsim-internal class
 //! (wal and below) is live, any call into a device I/O entry point
 //! (`with`, `with_mut`, `alloc`, `free`, `record_*`, `open_file`,
-//! `drop_cache`), a raw file verb of the durable backend (`write_all_at`,
+//! `drop_cache`), a raw file verb of the durable store (`write_all_at`,
 //! `read_exact_at`, `sync_all`, `sync_data`, `set_len`) or a
 //! rebuild/rebalance entry point (`rebuild*`, `bulk_build*`, `bulk_load*`,
 //! `rebalance*`) is flagged: the callee either re-takes the pool mutex
 //! (self-deadlock with std's non-reentrant locks) or parks every writer
-//! behind a disk round trip. The WAL log writer's own page-record append
-//! is the single sanctioned exception, via pragma.
+//! behind a disk round trip. The op log's own frame append-and-sync is
+//! the single sanctioned exception, via pragma.
 //!
 //! The analysis is intra-procedural and lexical. A guard counts as *held*
 //! when it is `let`-bound (including `let guards = ….collect();` vectors of
@@ -108,13 +108,11 @@ const TABLE: &[LockClass] = &[
         same_ok: false,
         io_forbidden: false,
     },
-    // The write-ahead-log mutex of the durable backend (`FileBackend.wal`,
-    // `DurableStore.wal`). Rule B: no device I/O while it is held — the
-    // journal layers above it copy their plans out and do their `BlockFile`
-    // traffic with the guard released. The single exception is the log
-    // writer itself (the page-record append in `FileBackend::put_page`),
-    // sanctioned via pragma. Sits above the emsim pool locks: the backend
-    // is entered from write-through with no pool guard live.
+    // The op-log mutex of a durable index's store (`DurableStore.wal`),
+    // held for a whole commit. Rule B: no device I/O while it is held. The
+    // single exception is the log writer itself (the frame append-and-sync
+    // in `DurableStore::commit`), sanctioned via pragma. Sits above the
+    // emsim pool locks: the store never touches the simulated device.
     LockClass {
         name: "wal",
         rank: 6,
@@ -183,7 +181,7 @@ const IO_ENTRIES: &[&str] = &[
     "record_free",
     "open_file",
     "drop_cache",
-    // Raw file verbs of the durable backend: physical I/O under the wal
+    // Raw file verbs of the durable store: physical I/O under the wal
     // mutex (or any pool lock) blocks every writer behind a disk round
     // trip — only the log writer's own append is sanctioned, via pragma.
     "write_all_at",

@@ -10,7 +10,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use emsim::{BackendKind, Device, EmConfig};
+use emsim::{Device, EmConfig};
 
 use crate::concurrent::ConcurrentTopK;
 use crate::config::{SmallKEngine, TopKConfig};
@@ -41,7 +41,6 @@ pub struct IndexBuilder {
     pool_bytes: usize,
     shards: Option<usize>,
     durable_dir: Option<PathBuf>,
-    backend: Option<BackendKind>,
     config: TopKConfig,
 }
 
@@ -61,7 +60,6 @@ impl IndexBuilder {
             pool_bytes: 16 << 20,
             shards: None,
             durable_dir: None,
-            backend: None,
             config: TopKConfig::default(),
         }
     }
@@ -86,25 +84,14 @@ impl IndexBuilder {
         self
     }
 
-    /// Make the index **durable**: its device is opened on `dir` with a
-    /// file-backed write-ahead backend, every committed operation is
-    /// journalled, and `build*()` replays the journal — reopening the same
-    /// directory recovers the index to its last committed stamp (DESIGN.md
-    /// §10). Mutually exclusive with [`IndexBuilder::device`]; durable
-    /// indexes serialize writers, so [`IndexBuilder::build_sharded`] (and
-    /// `shards > 1`) is rejected.
+    /// Make the index **durable**: every committed operation is logged to
+    /// `dir`, and `build*()` recovers what the directory holds — reopening
+    /// the same directory recovers the index to its last committed stamp
+    /// (DESIGN.md §10). Mutually exclusive with [`IndexBuilder::device`];
+    /// durable indexes serialize writers, so [`IndexBuilder::build_sharded`]
+    /// (and `shards > 1`) is rejected.
     pub fn durable(mut self, dir: impl Into<PathBuf>) -> Self {
         self.durable_dir = Some(dir.into());
-        self
-    }
-
-    /// Which storage backend a [`IndexBuilder::durable`] device uses:
-    /// [`BackendKind::File`] (default — synchronous pread/pwrite) or
-    /// [`BackendKind::ThreadPool`] (the same file backend behind a
-    /// completion-model worker pool). Setting a durable kind without
-    /// [`IndexBuilder::durable`] is rejected at build time.
-    pub fn backend(mut self, kind: BackendKind) -> Self {
-        self.backend = Some(kind);
         self
     }
 
@@ -154,11 +141,11 @@ impl IndexBuilder {
                 what: "shards is set: use build_sharded() (build() is unsharded)",
             });
         }
-        let (device, config) = self.resolve()?;
-        if device.is_durable() {
-            return TopKIndex::open_durable(&device, config);
+        let (device, config, dir) = self.resolve()?;
+        match dir {
+            Some(dir) => TopKIndex::open_durable(&device, config, &dir),
+            None => Ok(TopKIndex::new(&device, config)),
         }
-        Ok(TopKIndex::new(&device, config))
     }
 
     /// Like [`IndexBuilder::build`], wrapped for concurrent serving behind
@@ -189,8 +176,8 @@ impl IndexBuilder {
             Some(s) => s,
             None => default_shards(self.config.expected_n),
         };
-        let (device, config) = self.resolve()?;
-        if device.is_durable() {
+        let (device, config, dir) = self.resolve()?;
+        if dir.is_some() {
             return Err(TopKError::InvalidConfig {
                 what: "durable indexes serialize writers through one journal: \
                        the sharded topology is not supported (drop durable() or shards)",
@@ -213,7 +200,7 @@ impl IndexBuilder {
     pub fn build_auto(mut self) -> Result<TopK> {
         // A durable index journals through one serialized write path, so the
         // only safe concurrent topology is the coarse write lock.
-        if self.durable_dir.is_some() || self.device.as_ref().is_some_and(Device::is_durable) {
+        if self.durable_dir.is_some() {
             match self.shards {
                 Some(0) => {
                     return Err(TopKError::InvalidConfig {
@@ -252,7 +239,7 @@ impl IndexBuilder {
         }
     }
 
-    fn resolve(self) -> Result<(Device, TopKConfig)> {
+    fn resolve(self) -> Result<(Device, TopKConfig, Option<PathBuf>)> {
         if self.config.l == 0 {
             return Err(TopKError::InvalidConfig {
                 what: "crossover_l must be at least 1",
@@ -268,15 +255,15 @@ impl IndexBuilder {
                 what: "expected_n must be at least 1",
             });
         }
-        let device = match (self.device, self.durable_dir) {
+        let device = match (self.device, &self.durable_dir) {
             (Some(_), Some(_)) => {
                 return Err(TopKError::InvalidConfig {
                     what: "device and durable are mutually exclusive: a durable \
-                           device is opened from its directory",
+                           index owns its machine",
                 });
             }
             (Some(device), None) => device,
-            (None, dir) => {
+            (None, _) => {
                 if self.block_words < EmConfig::MIN_BLOCK_WORDS {
                     return Err(TopKError::InvalidConfig {
                         what: "block_words below the model minimum of 8",
@@ -288,33 +275,10 @@ impl IndexBuilder {
                         what: "pool_bytes must hold at least two blocks",
                     });
                 }
-                let em = EmConfig::new(self.block_words, mem_words);
-                match dir {
-                    Some(dir) => {
-                        let kind = self.backend.unwrap_or(BackendKind::File);
-                        if matches!(kind, BackendKind::Ram) {
-                            return Err(TopKError::InvalidConfig {
-                                what: "backend(Ram) contradicts durable(dir): \
-                                       pick File or ThreadPool, or drop durable()",
-                            });
-                        }
-                        Device::open(em.backend(kind), &dir).map_err(|e| TopKError::Storage {
-                            what: e.to_string(),
-                        })?
-                    }
-                    None => {
-                        if self.backend.is_some_and(|k| !matches!(k, BackendKind::Ram)) {
-                            return Err(TopKError::InvalidConfig {
-                                what: "backend File/ThreadPool requires durable(dir): \
-                                       a file-backed device needs a directory to live in",
-                            });
-                        }
-                        Device::new(em)
-                    }
-                }
+                Device::new(EmConfig::new(self.block_words, mem_words))
             }
         };
-        Ok((device, self.config))
+        Ok((device, self.config, self.durable_dir))
     }
 }
 
@@ -491,7 +455,7 @@ mod tests {
         let dir = scratch("misconfig");
         let device = Device::new(EmConfig::new(256, 256 * 64));
         let cases: Vec<(TopKError, &str)> = vec![
-            // Sharding and the single write-ahead journal don't compose.
+            // Sharding and the single op log don't compose.
             (
                 TopKIndex::builder()
                     .durable(&dir)
@@ -507,23 +471,6 @@ mod tests {
                     .build_auto()
                     .unwrap_err(),
                 "journal",
-            ),
-            // A file/threaded backend is meaningless without a directory.
-            (
-                TopKIndex::builder()
-                    .backend(emsim::BackendKind::File)
-                    .build()
-                    .unwrap_err(),
-                "durable",
-            ),
-            // And the RAM backend contradicts asking for one.
-            (
-                TopKIndex::builder()
-                    .backend(emsim::BackendKind::Ram)
-                    .durable(&dir)
-                    .build()
-                    .unwrap_err(),
-                "backend",
             ),
             // An externally-built device and a managed directory conflict.
             (

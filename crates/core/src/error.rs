@@ -68,12 +68,12 @@ pub enum TopKError {
         /// Which component disagreed.
         component: &'static str,
     },
-    /// The durable storage backend failed (I/O error, on-disk corruption, or
+    /// The durable store failed (I/O error, on-disk corruption, or
     /// an injected crash fault). The in-RAM index may be *ahead* of the
     /// durable state: treat the handle as lost and reopen the index from its
     /// directory, which recovers to the last committed stamp.
     Storage {
-        /// The backend's description of the failure.
+        /// The store's description of the failure.
         what: String,
     },
 }

@@ -221,11 +221,11 @@ impl TopK {
     }
 
     /// Snapshot the current contents into a durable index directory: after
-    /// this returns, `dir` holds a complete, checkpointed file-backed image
-    /// that `TopK::builder().durable(dir).build_auto()` reopens — from *any*
+    /// this returns, `dir` holds a complete, durable image that
+    /// `TopK::builder().durable(dir).build_auto()` reopens — from *any*
     /// topology, including sharded and RAM-only handles. An existing image
-    /// in `dir` (with the same block size) is overwritten wholesale. Returns
-    /// the number of points captured.
+    /// in `dir` is overwritten wholesale. Returns the number of points
+    /// captured.
     ///
     /// The snapshot is taken with [`TopK::all_points`]; run it while no
     /// writer is active to capture one exact state. The image is stamped
@@ -237,24 +237,18 @@ impl TopK {
     ///
     /// [`TopKError::Storage`](crate::TopKError::Storage) if the directory
     /// cannot be opened — including a durable index's *own* directory,
-    /// whose advisory lock this handle already holds — or holds an image
-    /// with a different block size, or the checkpoint fails.
+    /// whose advisory lock this handle already holds — or holds a corrupt
+    /// image, or the snapshot cannot be made durable.
     pub fn snapshot_to(&self, dir: &std::path::Path) -> Result<u64> {
-        let storage = |e: emsim::BackendError| crate::TopKError::Storage {
-            what: e.to_string(),
-        };
         let points = self.all_points();
-        let em = self.device().config().backend(emsim::BackendKind::File);
-        let device = Device::open(em, dir).map_err(storage)?;
-        let (store, _existing, prior_stamp) =
-            crate::persist::DurableStore::open(&device).map_err(storage)?;
+        let (store, _existing, prior_stamp) = crate::persist::DurableStore::open(dir)?;
         let current = match self {
             TopK::Single(i) => i.version(),
             TopK::Concurrent(i) => i.read().version(),
             TopK::Sharded(i) => i.read().version(),
         };
         store.compact(&points, current.max(prior_stamp));
-        device.checkpoint_backend().map_err(storage)?;
+        store.commit()?;
         Ok(points.len() as u64)
     }
 }

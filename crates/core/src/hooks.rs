@@ -1,6 +1,6 @@
 //! Testkit instrumentation (compiled only with the `testkit-hooks` feature).
 //!
-//! Two kinds of hooks live here and in the feature-gated `impl` blocks of
+//! Three kinds of hooks live here and in the feature-gated `impl` blocks of
 //! the engine modules:
 //!
 //! * **Commit-stamped operations** (`insert_stamped`, `delete_stamped`,
@@ -25,6 +25,12 @@
 //!   process-global; tests that enable it run in their own
 //!   integration-test binary so no parallel test observes the mutated
 //!   answers.
+//!
+//! * **Scripted crashes** of a durable index:
+//!   [`TopKIndex::arm_fault`](crate::TopKIndex::arm_fault) arms a
+//!   [`FaultPlan`](crate::FaultPlan) that kills the store at a chosen
+//!   [`KillPhase`](crate::KillPhase) of a chosen commit; `topk-testkit`'s
+//!   crash topology reopens the directory and checks what survived.
 //!
 //! Nothing in this module is part of the public API contract; it exists so
 //! the verification subsystem can observe commit points without guessing

@@ -1,6 +1,7 @@
 //! The combined Theorem 1 index.
 
 use std::collections::{HashMap, HashSet};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
@@ -12,7 +13,7 @@ use crate::batch::{BatchSummary, UpdateBatch};
 use crate::builder::IndexBuilder;
 use crate::config::{SmallKEngine, TopKConfig};
 use crate::error::{Result, TopKError};
-use crate::persist::{DurableStore, OP_DELETE, OP_INSERT};
+use crate::persist::{DurableStats, DurableStore, OP_DELETE, OP_INSERT};
 use crate::query::{QueryRequest, TopKResults};
 
 /// The dynamic top-k range reporting index of Theorem 1. See the crate docs
@@ -43,8 +44,8 @@ pub struct TopKIndex {
     /// metadata lives outside the EM space accounting; coordinates are
     /// validated structurally through the reporter instead).
     scores: RwLock<HashSet<u64>>,
-    /// The operation journal when the index lives on a durable device
-    /// ([`TopKIndex::open_durable`]); `None` on plain simulated devices.
+    /// The durable store when the index was opened on a directory
+    /// ([`TopKIndex::open_durable`]); `None` for in-RAM indexes.
     durable: Option<DurableStore>,
     /// The version stamp recovered from the journal at open time (`None`
     /// unless this handle came from [`TopKIndex::open_durable`]).
@@ -90,35 +91,26 @@ impl TopKIndex {
         }
     }
 
-    /// Open (or create) a **durable** index on `device`: replay the operation
-    /// journal, rebuild the in-RAM structures from the recovered point set,
-    /// and resume stamping from the recovered version. From then on every
-    /// committed mutation is journalled and made durable through the device's
-    /// write-ahead backend commit (DESIGN.md §10) — after a crash, reopening
-    /// recovers exactly the operations whose commit returned `Ok`.
+    /// Open (or create) a **durable** index whose store lives in `dir`:
+    /// recover the operation log and snapshot, rebuild the in-RAM structures
+    /// on `device` from the recovered point set, and resume stamping from
+    /// the recovered version. From then on every committed mutation is
+    /// logged and made durable before it returns (DESIGN.md §10) — after a
+    /// crash, reopening recovers exactly the operations whose commit
+    /// returned `Ok`.
     ///
     /// Prefer the builder: `TopK::builder().durable(dir).build_auto()?`.
     ///
     /// # Errors
     ///
-    /// [`TopKError::InvalidConfig`] if `device` has no durable backend (use
-    /// [`Device::open`] with [`BackendKind::File`](emsim::BackendKind));
-    /// [`TopKError::Storage`] if the journal cannot be read or is corrupt.
-    pub fn open_durable(device: &Device, config: TopKConfig) -> Result<Self> {
-        if !device.is_durable() {
-            return Err(TopKError::InvalidConfig {
-                what: "open_durable requires a durable device: Device::open with \
-                       EmConfig::backend(BackendKind::File or ThreadPool)",
-            });
-        }
-        let (store, points, stamp) =
-            DurableStore::open(device).map_err(|e| TopKError::Storage {
-                what: e.to_string(),
-            })?;
+    /// [`TopKError::Storage`] if the directory is already open, cannot be
+    /// read, or holds a corrupt snapshot.
+    pub fn open_durable(device: &Device, config: TopKConfig, dir: &Path) -> Result<Self> {
+        let (store, points, stamp) = DurableStore::open(dir)?;
         let index = TopKIndex::new(device, config);
         if !points.is_empty() {
             // `durable` is still `None` here, so the rebuild does not
-            // re-journal what the journal just told us.
+            // re-journal what the store just told us.
             index.rebuild_unvalidated(&points);
         }
         index.version.store(stamp, Ordering::Release);
@@ -127,18 +119,14 @@ impl TopKIndex {
             recovered: Some(stamp),
             ..index
         };
-        // Reopen cost stays O(n/B): a journal that outgrew its live set is
+        // Reopen cost stays O(n): a log that outgrew its live set is
         // compacted now instead of being replayed again next time.
         if let Some(d) = &index.durable {
             if d.needs_compact(index.len()) {
                 d.compact(&points, stamp);
             }
         }
-        device
-            .checkpoint_backend()
-            .map_err(|e| TopKError::Storage {
-                what: e.to_string(),
-            })?;
+        index.durable_commit()?;
         Ok(index)
     }
 
@@ -159,9 +147,17 @@ impl TopKIndex {
         self.recovered
     }
 
-    /// Whether this index journals its operations to a durable backend.
+    /// Whether this index journals its operations to a durable store.
     pub fn is_durable(&self) -> bool {
         self.durable.is_some()
+    }
+
+    /// Counters of the durable store since open (all zero when in RAM).
+    pub fn durable_stats(&self) -> DurableStats {
+        self.durable
+            .as_ref()
+            .map(DurableStore::stats)
+            .unwrap_or_default()
     }
 
     /// The device the index lives on (useful for reading I/O statistics).
@@ -381,25 +377,19 @@ impl TopKIndex {
         }
     }
 
-    /// Commit everything staged in the device's write-ahead backend (the
-    /// journal appends of the operation that just ran). No-op on non-durable
-    /// indexes.
+    /// Make the journal appends of the operation that just ran durable. No-op
+    /// on non-durable indexes.
     ///
     /// # Errors
     ///
-    /// [`TopKError::Storage`] if the backend commit fails — the in-RAM index
-    /// may then be ahead of the durable state: treat the handle as lost and
-    /// reopen from the directory.
+    /// [`TopKError::Storage`] if the commit fails — the in-RAM index may then
+    /// be ahead of the durable state: treat the handle as lost and reopen
+    /// from the directory.
     pub(crate) fn durable_commit(&self) -> Result<()> {
-        if let Some(d) = &self.durable {
-            d.flush();
-            self.device
-                .commit_backend()
-                .map_err(|e| TopKError::Storage {
-                    what: e.to_string(),
-                })?;
+        match &self.durable {
+            Some(d) => d.commit(),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     // ----- queries -----
@@ -578,6 +568,15 @@ impl TopKIndex {
         assert_eq!(self.reporter.len(), self.len());
         assert_eq!(self.small_k.len(), self.len());
         assert_eq!(self.scores.read().unwrap().len() as u64, self.len());
+    }
+
+    /// Arm a scripted crash on the durable store (no-op when in RAM): the
+    /// crash-recovery testkit's kill switch.
+    #[cfg(any(test, feature = "testkit-hooks"))]
+    pub fn arm_fault(&self, plan: crate::FaultPlan) {
+        if let Some(d) = &self.durable {
+            d.arm(plan);
+        }
     }
 }
 

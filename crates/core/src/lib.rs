@@ -84,6 +84,8 @@
 //! # Ok::<(), topk_core::TopKError>(())
 //! ```
 
+#[cfg(test)]
+mod backend;
 mod batch;
 mod builder;
 mod concurrent;
@@ -111,6 +113,7 @@ pub use error::{Result, TopKError};
 pub use facade::TopK;
 pub use index::TopKIndex;
 pub use oracle::Oracle;
+pub use persist::{DurableStats, FaultPlan, KillPhase};
 pub use query::{Consistency, QueryRequest, TopKResults};
 pub use ranked::RankedIndex;
 pub use sharded::{ShardedReadGuard, ShardedResults, ShardedTopK};

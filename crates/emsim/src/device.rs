@@ -11,17 +11,12 @@
 //! [`BlockFile`] opened from it — is therefore `Send + Sync` and may be hit
 //! from many threads at once; see DESIGN.md §4/§8 for the locking design.
 
-use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, RwLock};
 
-use crate::backend::{
-    BackendError, BackendResult, DurableStats, FaultPlan, FileBackend, RamBackend, StorageBackend,
-    ThreadPoolBackend,
-};
-use crate::config::{BackendKind, EmConfig, PoolPolicy};
+use crate::config::{EmConfig, PoolPolicy};
 use crate::file::BlockFile;
-use crate::page::{Page, PersistPage};
+use crate::page::Page;
 use crate::pool::{AccessOutcome, Pool, ShardedPool};
 use crate::stats::{AtomicIoStats, IoDelta, IoSnapshot, IoStats, PaddedCounter};
 
@@ -114,7 +109,6 @@ struct DeviceInner {
     stats: AtomicIoStats,
     pool: PoolKind,
     files: RwLock<FileDirectory>,
-    backend: Arc<dyn StorageBackend>,
 }
 
 /// A cheaply clonable handle to the simulated machine. All block files opened
@@ -126,14 +120,8 @@ pub struct Device {
 }
 
 impl Device {
-    /// Create a device with the given machine parameters (in-RAM backend —
-    /// the historical behaviour, nothing durable).
+    /// Create a device with the given machine parameters.
     pub fn new(config: EmConfig) -> Self {
-        Self::with_backend(config, Arc::new(RamBackend))
-    }
-
-    /// Create a device over an explicit [`StorageBackend`].
-    pub fn with_backend(config: EmConfig, backend: Arc<dyn StorageBackend>) -> Self {
         let pool = match config.pool_policy {
             PoolPolicy::ShardedClock => PoolKind::Sharded(ShardedPool::new(config.frames())),
             PoolPolicy::ExactLru => PoolKind::Exact(Mutex::new(Pool::new(config.frames()))),
@@ -144,23 +132,8 @@ impl Device {
                 stats: AtomicIoStats::default(),
                 pool,
                 files: RwLock::new(FileDirectory::default()),
-                backend,
             }),
         }
-    }
-
-    /// Open (or create) a durable device rooted at `dir`, running crash
-    /// recovery on whatever the directory holds. `config.backend` picks the
-    /// implementation: [`BackendKind::ThreadPool`] wraps the file device in
-    /// the completion-model shim, everything else opens [`FileBackend`]
-    /// directly.
-    pub fn open(config: EmConfig, dir: &Path) -> BackendResult<Self> {
-        let file = Arc::new(FileBackend::open(dir, config)?);
-        let backend: Arc<dyn StorageBackend> = match config.backend {
-            BackendKind::ThreadPool => Arc::new(ThreadPoolBackend::new(file, 4)),
-            BackendKind::Ram | BackendKind::File => file,
-        };
-        Ok(Self::with_backend(config, backend))
     }
 
     /// Create a device with the default disk-like configuration.
@@ -182,40 +155,6 @@ impl Device {
     /// used for diagnostics and space breakdowns.
     pub fn open_file<P: Page>(&self, name: &str) -> BlockFile<P> {
         BlockFile::new(self.clone(), self.mint_file_id(name))
-    }
-
-    /// Open a *durable* block file: pages of type `P` are written through to
-    /// the backend (and restored from it now, at open). The `name` is the
-    /// stable identity of the file across reopens — runtime [`FileId`]s are
-    /// minted in open order and bound to it.
-    ///
-    /// Restoring charges one alloc and one read access per recovered page,
-    /// so space accounting and the I/O counters see the restore for what it
-    /// is: a cold read of the whole file.
-    pub fn open_durable_file<P: PersistPage>(&self, name: &str) -> BackendResult<BlockFile<P>> {
-        let id = self.mint_file_id(name);
-        self.inner.backend.bind_file(id, name)?;
-        let mut pages = Vec::new();
-        for (page, words) in self.inner.backend.pages_of(id)? {
-            let decoded = P::decode(&words).ok_or_else(|| {
-                BackendError::Corrupt(format!(
-                    "page {page} of durable file '{name}' failed to decode"
-                ))
-            })?;
-            pages.push((page, decoded));
-        }
-        let file = BlockFile::restored(self.clone(), id, pages);
-        for pid in file.live_ids() {
-            self.record_alloc(id);
-            self.record_access(
-                PageAddr {
-                    file: id,
-                    page: pid.0,
-                },
-                false,
-            );
-        }
-        Ok(file)
     }
 
     fn mint_file_id(&self, name: &str) -> FileId {
@@ -259,59 +198,15 @@ impl Device {
     /// pages. Used by experiments that want cold-cache query measurements.
     /// With the sharded pool, shards are cleared one at a time; concurrent
     /// accesses may repopulate earlier shards while later ones drain.
-    ///
-    /// On a durable backend the staged WAL images are committed *first*:
-    /// evicting a dirty page must never discard a logged-but-uncommitted
-    /// write (the backend is the only copy once the frame is gone). A
-    /// backend failure here is sticky — it resurfaces as an error on the
-    /// next explicit [`commit_backend`](Self::commit_backend).
     pub fn drop_cache(&self) {
-        let _ = self.inner.backend.commit();
         let writes = self.inner.pool.clear();
         self.inner.stats.add_writes(writes);
     }
 
-    /// Write back all dirty pages (counted) without evicting them. On a
-    /// durable backend this is a full checkpoint — commit staged images,
-    /// fsync, truncate the log — *before* the simulated pool flush, so the
-    /// "everything clean" promise holds on disk too.
+    /// Write back all dirty pages (counted) without evicting them.
     pub fn flush(&self) {
-        let _ = self.inner.backend.commit();
-        let _ = self.inner.backend.checkpoint();
         let writes = self.inner.pool.flush();
         self.inner.stats.add_writes(writes);
-    }
-
-    /// The storage backend behind this device.
-    pub fn backend(&self) -> Arc<dyn StorageBackend> {
-        Arc::clone(&self.inner.backend)
-    }
-
-    /// Whether pages written through this device survive reopen.
-    pub fn is_durable(&self) -> bool {
-        self.inner.backend.is_durable()
-    }
-
-    /// Commit all staged backend changes (log → fsync → apply). This is also
-    /// where earlier swallowed write-through errors surface: a dead backend
-    /// repeats its fatal error here.
-    pub fn commit_backend(&self) -> BackendResult<u64> {
-        self.inner.backend.commit()
-    }
-
-    /// Commit + fsync + truncate the backend's log.
-    pub fn checkpoint_backend(&self) -> BackendResult<()> {
-        self.inner.backend.checkpoint()
-    }
-
-    /// Arm a scripted crash on the backend (no-op when not durable).
-    pub fn arm_backend_fault(&self, plan: FaultPlan) {
-        self.inner.backend.arm_fault(plan);
-    }
-
-    /// Counters of the durable plane (all zero when not durable).
-    pub fn durable_stats(&self) -> DurableStats {
-        self.inner.backend.durable_stats()
     }
 
     /// Total number of live pages across all files — the structure's space in
@@ -388,20 +283,6 @@ impl Device {
                 Err(seen) => cur = seen,
             }
         }
-    }
-
-    /// Write-through of a durable page image. Errors are swallowed here —
-    /// the backend is dead after any failure and the error resurfaces,
-    /// verbatim, on the next `commit_backend()` — so the simulated hot path
-    /// keeps its infallible signature.
-    pub(crate) fn backend_put(&self, addr: PageAddr, words: &[u64]) {
-        let _ = self.inner.backend.put_page(addr, words);
-    }
-
-    /// Write-through of a durable page drop (same error contract as
-    /// [`backend_put`](Self::backend_put)).
-    pub(crate) fn backend_drop(&self, addr: PageAddr) {
-        let _ = self.inner.backend.drop_page(addr);
     }
 
     pub(crate) fn record_capacity_violation(&self, words: usize) {
@@ -487,72 +368,6 @@ mod tests {
         dev.drop_cache();
         let (_, d) = dev.measure(|| file.with(id, |_| ()));
         assert_eq!(d.reads, 1);
-    }
-
-    #[derive(Clone, Debug, PartialEq)]
-    struct DP(Vec<u64>);
-    impl Page for DP {
-        fn words(&self) -> usize {
-            1 + self.0.len()
-        }
-    }
-    impl crate::page::PersistPage for DP {
-        fn encode(&self, out: &mut Vec<u64>) {
-            out.extend_from_slice(&self.0);
-        }
-        fn decode(words: &[u64]) -> Option<Self> {
-            Some(DP(words.to_vec()))
-        }
-    }
-
-    #[test]
-    fn durable_file_roundtrips_across_reopen() {
-        for kind in [BackendKind::File, BackendKind::ThreadPool] {
-            let dir = std::env::temp_dir().join(format!(
-                "emsim-dev-durable-{:?}-{}",
-                kind,
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            let cfg = EmConfig::small().backend(kind);
-            let (a, b);
-            {
-                let dev = Device::open(cfg, &dir).unwrap();
-                assert!(dev.is_durable());
-                let f = dev.open_durable_file::<DP>("nodes").unwrap();
-                a = f.alloc(DP(vec![1, 2]));
-                b = f.alloc(DP(vec![3]));
-                f.with_mut(a, |p| p.0.push(9));
-                f.free(b);
-                dev.commit_backend().unwrap();
-            }
-            let dev = Device::open(cfg, &dir).unwrap();
-            let f = dev.open_durable_file::<DP>("nodes").unwrap();
-            assert_eq!(f.get(a), DP(vec![1, 2, 9]));
-            assert!(!f.is_live(b));
-            assert_eq!(dev.space_blocks(), 1, "restore must recount live pages");
-            std::fs::remove_dir_all(&dir).unwrap();
-        }
-    }
-
-    #[test]
-    fn drop_cache_commits_staged_writes_first() {
-        let dir = std::env::temp_dir().join(format!("emsim-dev-dropcache-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = EmConfig::small();
-        let a;
-        {
-            let dev = Device::open(cfg, &dir).unwrap();
-            let f = dev.open_durable_file::<DP>("nodes").unwrap();
-            a = f.alloc(DP(vec![42]));
-            // No explicit commit: drop_cache must not lose the logged write.
-            dev.drop_cache();
-            assert!(dev.durable_stats().commits >= 1);
-        }
-        let dev = Device::open(cfg, &dir).unwrap();
-        let f = dev.open_durable_file::<DP>("nodes").unwrap();
-        assert_eq!(f.get(a), DP(vec![42]));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

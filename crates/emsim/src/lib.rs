@@ -41,7 +41,6 @@
 //! assert!(dev.stats().total_ios() >= 1);
 //! ```
 
-mod backend;
 mod config;
 mod device;
 mod file;
@@ -49,14 +48,10 @@ mod page;
 mod pool;
 mod stats;
 
-pub use backend::{
-    BackendError, BackendResult, DurableStats, FaultPlan, FileBackend, IoOutcome, IoRequest,
-    KillPhase, RamBackend, StorageBackend, ThreadPoolBackend, Ticket,
-};
-pub use config::{BackendKind, EmConfig, PoolPolicy};
+pub use config::{EmConfig, PoolPolicy};
 pub use device::{Device, FileId, PageAddr};
 pub use file::{BlockFile, PageId};
-pub use page::{encode_page, entries_per_block, entries_words, Page, PersistPage};
+pub use page::{entries_per_block, entries_words, Page};
 pub use stats::{IoDelta, IoSnapshot, IoStats};
 
 /// Number of bytes in a machine word of the EM model as used throughout this

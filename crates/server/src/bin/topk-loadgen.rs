@@ -158,8 +158,26 @@ fn preload(
 struct WorkerReport {
     read_ns: Vec<u64>,
     write_ns: Vec<u64>,
+    /// Acknowledged requests — the only ones `qps` counts.
     ops: u64,
+    /// Requests the server turned away as retryable; not in `ops`.
     retryable: u64,
+}
+
+impl WorkerReport {
+    /// Account one request: acknowledged after `Some(latency_ns)`, or
+    /// turned away retryably (`None`).
+    fn note(&mut self, is_read: bool, latency_ns: Option<u64>) {
+        match latency_ns {
+            Some(ns) if is_read => self.read_ns.push(ns),
+            Some(ns) => self.write_ns.push(ns),
+            None => {
+                self.retryable += 1;
+                return;
+            }
+        }
+        self.ops += 1;
+    }
 }
 
 struct ScenarioSpec {
@@ -197,10 +215,8 @@ fn worker(spec: &ScenarioSpec, thread_id: u64, retries: &AtomicU64) -> WorkerRep
             let width = (span / 64).max(8);
             let start = lo + rng.gen_range(0u64..span.saturating_sub(width).max(1));
             match client.query(start, start + width, 10) {
-                Ok(_) => report.read_ns.push(started.elapsed().as_nanos() as u64),
-                Err(e) if e.is_retryable() => {
-                    report.retryable += 1;
-                }
+                Ok(_) => report.note(true, Some(started.elapsed().as_nanos() as u64)),
+                Err(e) if e.is_retryable() => report.note(true, None),
                 Err(e) => {
                     eprintln!("topk-loadgen: worker {thread_id} read failed: {e}");
                     break;
@@ -220,9 +236,9 @@ fn worker(spec: &ScenarioSpec, thread_id: u64, retries: &AtomicU64) -> WorkerRep
                 })
             };
             match result {
-                Ok(()) => report.write_ns.push(started.elapsed().as_nanos() as u64),
+                Ok(()) => report.note(false, Some(started.elapsed().as_nanos() as u64)),
                 Err(e) if e.is_retryable() => {
-                    report.retryable += 1;
+                    report.note(false, None);
                     retries.fetch_add(1, Ordering::Relaxed);
                     std::thread::sleep(Duration::from_micros(200));
                 }
@@ -232,7 +248,6 @@ fn worker(spec: &ScenarioSpec, thread_id: u64, retries: &AtomicU64) -> WorkerRep
                 }
             }
         }
-        report.ops += 1;
     }
     report
 }
@@ -478,5 +493,25 @@ fn main() {
     json::save_if_requested("serving", &rows);
     if failed {
         std::process::exit(1)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn retryable_rejections_are_not_counted_as_ops() {
+        let mut report = WorkerReport::default();
+        report.note(true, Some(1_000));
+        report.note(false, None);
+        report.note(true, None);
+        report.note(false, Some(2_000));
+        assert_eq!(report.ops, 2, "qps counts acknowledged requests only");
+        assert_eq!(report.retryable, 2);
+        assert_eq!(
+            (report.read_ns, report.write_ns),
+            (vec![1_000], vec![2_000])
+        );
     }
 }

@@ -62,7 +62,7 @@ pub struct ServerConfig {
     /// Most writes the committer coalesces into one commit.
     pub batch_max: usize,
     /// When set, serve a **durable** index from this directory: committed
-    /// writes ride the file-backed WAL and a restart recovers to the last
+    /// writes are logged to its op log and a restart recovers to the last
     /// committed stamp (DESIGN.md §10). `None` (the default) serves the
     /// in-RAM device.
     pub data_dir: Option<std::path::PathBuf>,

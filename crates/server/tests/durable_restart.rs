@@ -1,5 +1,5 @@
 //! Durable serving end to end: a server on `ServerConfig::data_dir` commits
-//! socket writes through the file-backed WAL (DESIGN.md §10), so a clean
+//! socket writes to the directory's op log (DESIGN.md §10), so a clean
 //! shutdown and a fresh server on the same directory serves every committed
 //! write back — across processes in production, across `Server` instances
 //! here.

@@ -1,5 +1,5 @@
-//! Crash-recovery topology: seeded write streams against the durable file
-//! backend, scripted kills, reopen, and differential verification.
+//! Crash-recovery topology: seeded write streams against a durable index's
+//! op log, scripted kills, reopen, and differential verification.
 //!
 //! The check is the acceptance criterion of DESIGN.md §10 made executable:
 //! after a crash at any [`KillPhase`] of any commit, reopening the index
@@ -10,7 +10,7 @@
 //! ```
 //!
 //! where `S_lastOk` is the commit stamp of the last operation the writer saw
-//! succeed and `S_wedged` is the in-RAM stamp at the moment the backend
+//! succeed and `S_wedged` is the in-RAM stamp at the moment the store
 //! died. In words: **zero lost committed operations** (everything
 //! acknowledged before the crash survives) and **zero resurrected
 //! uncommitted operations** (nothing from after the kill point appears from
@@ -25,11 +25,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use baselines::NaiveTopK;
-use emsim::{Device, EmConfig, FaultPlan, KillPhase};
+use emsim::{Device, EmConfig};
 use epst::Point;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use topk_core::{TopKError, TopKIndex};
+use topk_core::{FaultPlan, KillPhase, TopKError, TopKIndex};
 use workload::{PointDistribution, PointGen};
 
 use crate::trace::TraceOp;
@@ -43,7 +43,7 @@ pub struct CrashSpec {
     pub seed: u64,
     /// Write operations generated for the run (each is one commit).
     pub ops: usize,
-    /// How many operations succeed before the backend is killed. Must be
+    /// How many operations succeed before the store is killed. Must be
     /// `< ops` for the kill to actually land.
     pub kill_after: u64,
     /// Which phase of the doomed commit dies.
@@ -70,12 +70,12 @@ impl CrashSpec {
 pub struct CrashReport {
     /// Ops the writer saw succeed before the crash.
     pub applied_ok: usize,
-    /// 0-based index of the op that hit the dead backend, if the kill
+    /// 0-based index of the op that hit the dead store, if the kill
     /// landed inside the generated stream.
     pub failed_at: Option<usize>,
     /// Commit stamp of the last acknowledged op.
     pub last_ok_stamp: u64,
-    /// In-RAM stamp at the moment the backend died (upper recovery bound).
+    /// In-RAM stamp at the moment the store died (upper recovery bound).
     pub wedged_stamp: u64,
     /// Stamp the reopened index recovered to.
     pub recovered_stamp: u64,
@@ -143,9 +143,8 @@ pub fn crash_recovery_check(spec: &CrashSpec, dir: &Path) -> CrashReport {
 
     // Phase 1: apply ops against a durable index with a scripted kill.
     let index = open(dir, spec.ops);
-    let device = index.device().clone();
-    let base = device.durable_stats().commits;
-    device.arm_backend_fault(FaultPlan::kill_at_commit(
+    let base = index.durable_stats().commits;
+    index.arm_fault(FaultPlan::kill_at_commit(
         base.saturating_add(spec.kill_after),
         spec.phase,
     ));
@@ -180,16 +179,15 @@ pub fn crash_recovery_check(spec: &CrashSpec, dir: &Path) -> CrashReport {
     }
     let wedged_stamp = index.version();
     if failed_at.is_some() {
-        // The dead-backend contract: after the kill, every further write
+        // The dead-store contract: after the kill, every further write
         // must keep failing (no silent resurrection inside one process).
         let probe = Point::new(u64::MAX - 1, u64::MAX - 1);
         assert!(
             matches!(index.insert(probe), Err(TopKError::Storage { .. })),
-            "a killed backend must stay dead until reopen"
+            "a killed store must stay dead until reopen"
         );
     }
     drop(index);
-    drop(device);
 
     // Phase 2: reopen and check the recovery window.
     let recovered = open(dir, spec.ops);
@@ -264,30 +262,30 @@ mod tests {
 
     #[test]
     fn kill_before_wal_fsync_recovers_the_acked_prefix_exactly() {
-        let spec = CrashSpec::new(11, 24, KillPhase::BeforeWalFsync);
+        let spec = CrashSpec::new(11, 24, KillPhase::BeforeFsync);
         let dir = scratch_dir("before-fsync");
         let report = crash_recovery_check(&spec, &dir);
         assert_eq!(report.applied_ok as u64, spec.kill_after);
         assert!(report.failed_at.is_some(), "the kill must land");
-        // Without a durable commit record the doomed op vanishes entirely.
+        // Without a synced frame the doomed op vanishes entirely.
         assert_eq!(report.recovered_stamp, report.last_ok_stamp);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn kill_after_wal_fsync_recovers_the_doomed_op_too() {
-        let spec = CrashSpec::new(12, 24, KillPhase::AfterWalFsync);
+        let spec = CrashSpec::new(12, 24, KillPhase::AfterFsync);
         let dir = scratch_dir("after-fsync");
         let report = crash_recovery_check(&spec, &dir);
         assert!(report.failed_at.is_some(), "the kill must land");
-        // The commit record reached the WAL, so recovery replays the batch.
+        // The frame reached the log, so recovery replays it.
         assert_eq!(report.recovered_stamp, report.wedged_stamp);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn kill_mid_apply_completes_the_batch_from_the_wal() {
-        let spec = CrashSpec::new(13, 31, KillPhase::MidApply);
+        let spec = CrashSpec::new(13, 31, KillPhase::MidCompaction);
         let dir = scratch_dir("mid-apply");
         let report = crash_recovery_check(&spec, &dir);
         assert!(report.failed_at.is_some(), "the kill must land");
@@ -297,7 +295,7 @@ mod tests {
 
     #[test]
     fn no_kill_means_clean_recovery_of_everything() {
-        let mut spec = CrashSpec::new(14, u64::MAX, KillPhase::BeforeWalFsync);
+        let mut spec = CrashSpec::new(14, u64::MAX, KillPhase::BeforeFsync);
         spec.ops = 48;
         let dir = scratch_dir("no-kill");
         let report = crash_recovery_check(&spec, &dir);
@@ -308,7 +306,7 @@ mod tests {
 
     #[test]
     fn op_streams_are_deterministic_per_seed() {
-        let spec = CrashSpec::new(7, 10, KillPhase::BeforeWalFsync);
+        let spec = CrashSpec::new(7, 10, KillPhase::BeforeFsync);
         assert_eq!(write_ops(&spec), write_ops(&spec));
         let other = CrashSpec { seed: 8, ..spec };
         assert_ne!(write_ops(&spec), write_ops(&other));

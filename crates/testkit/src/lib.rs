@@ -22,9 +22,9 @@
 //!   consistency contract (DESIGN.md §6) and token round-trips on every
 //!   resume;
 //! * [`mod@crash`] — the crash-recovery topology: seeded write streams
-//!   against the durable file backend, scripted kills at any phase of any
-//!   commit ([`emsim::KillPhase`]), reopen, and differential verification
-//!   of the recovered state against the spec (DESIGN.md §10);
+//!   against a durable index's op log, scripted kills at any phase of any
+//!   commit ([`topk_core::KillPhase`]), reopen, and differential
+//!   verification of the recovered state against the spec (DESIGN.md §10);
 //! * [`history`] — a concurrent history [`Recorder`] that timestamps each
 //!   op with the engine's commit stamps (the `testkit-hooks` feature of
 //!   `topk-core`), and a [`check`] pass that

@@ -119,9 +119,9 @@ pub fn replay(trace: &Trace, topology: Topology) -> Result<ReplayStats, Divergen
     replay_on(trace, topology, engine_device, handle)
 }
 
-/// Replay `trace` against the durable file backend rooted at `dir`: the
-/// engine is a [`Topology::Concurrent`]-shaped index journaling every
-/// commit through the WAL (sharding is rejected by the builder for durable
+/// Replay `trace` against a durable index logging to `dir`: the engine is
+/// a [`Topology::Concurrent`]-shaped index logging every commit to its op
+/// log (sharding is rejected by the builder for durable
 /// indexes). `dir` must be fresh — the sequential spec starts empty, so a
 /// directory with recovered state diverges at step 0 by construction.
 pub fn replay_durable(trace: &Trace, dir: &std::path::Path) -> Result<ReplayStats, Divergence> {
@@ -152,7 +152,7 @@ fn expected_inserts(trace: &Trace) -> usize {
 }
 
 /// Replay `trace` against an already-built `handle` on `engine_device` —
-/// the backend-agnostic core of [`replay`]. `topology` labels divergences;
+/// the topology-agnostic core of [`replay`]. `topology` labels divergences;
 /// the handle must be empty (the spec starts empty).
 pub fn replay_on(
     trace: &Trace,
