@@ -31,8 +31,7 @@ use std::time::{Duration, Instant};
 use topk_bench::json::JsonRow;
 use topk_bench::{small_machine, uniform_points};
 use topk_core::{
-    ConcurrentTopK, Point, QueryRequest, RankedIndex, ShardedTopK, SmallKEngine, UpdateBatch,
-    UpdateOp,
+    ConcurrentTopK, Point, QueryRequest, RankedIndex, ShardedTopK, UpdateBatch, UpdateOp,
 };
 use workload::QueryGen;
 
@@ -45,8 +44,6 @@ fn build(n: usize, extra: usize) -> (ConcurrentTopK, Vec<Point>, Vec<Point>) {
     let device = emsim::Device::new(small_machine());
     let index = ConcurrentTopK::builder()
         .device(&device)
-        .small_k(SmallKEngine::Polylog)
-        .crossover_l(64)
         .expected_n(n + extra)
         .build_concurrent()
         .expect("bench parameters are valid");
@@ -345,8 +342,6 @@ fn main() {
         let device = emsim::Device::new(small_machine());
         let coarse = ConcurrentTopK::builder()
             .device(&device)
-            .small_k(SmallKEngine::Polylog)
-            .crossover_l(64)
             .expected_n(preload.len() * 2)
             .build_concurrent()
             .expect("bench parameters are valid");
@@ -356,8 +351,6 @@ fn main() {
         let device = emsim::Device::new(small_machine());
         let sharded = ShardedTopK::builder()
             .device(&device)
-            .small_k(SmallKEngine::Polylog)
-            .crossover_l(64)
             .expected_n(preload.len() * 2)
             .shards(TERRITORIES)
             .build_sharded()

@@ -3,8 +3,8 @@
 //! The corresponding I/O counts are produced by `exp_update_vs_n`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use topk_bench::{build_index, small_machine, uniform_points};
-use topk_core::SmallKEngine;
+use topk_bench::{build_index, small_machine, uniform_points, SmallKEngine};
+use topk_core::RankedIndex;
 
 fn update_amortized(c: &mut Criterion) {
     let mut group = c.benchmark_group("update_amortized");

@@ -8,8 +8,10 @@
 
 use baselines::{NaiveTopK, RamPst};
 use emsim::Device;
-use topk_bench::{avg_query_ios, build_index, default_machine, markdown_table, uniform_points};
-use topk_core::{RankedIndex, SmallKEngine};
+use topk_bench::{
+    avg_query_ios, build_index, default_machine, markdown_table, uniform_points, SmallKEngine,
+};
+use topk_core::RankedIndex;
 use workload::QueryGen;
 
 fn main() {

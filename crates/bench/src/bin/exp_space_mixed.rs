@@ -2,8 +2,8 @@
 //! approximation quality and reduction fallback rate).
 
 use emsim::Device;
-use topk_bench::{build_index, default_machine, markdown_table, uniform_points};
-use topk_core::{Oracle, SmallKEngine};
+use topk_bench::{build_index, default_machine, markdown_table, uniform_points, SmallKEngine};
+use topk_core::{Oracle, RankedIndex};
 use workload::{Op, QueryGen, TraceGen};
 
 fn main() {

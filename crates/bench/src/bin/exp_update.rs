@@ -2,8 +2,7 @@
 //! structure vs the Sheng–Tao-style baseline, as n and the block size grow.
 
 use emsim::EmConfig;
-use topk_bench::{avg_insert_ios, build_index, markdown_table, uniform_points};
-use topk_core::SmallKEngine;
+use topk_bench::{avg_insert_ios, build_index, markdown_table, uniform_points, SmallKEngine};
 
 fn main() {
     println!("# E3: amortized insert I/Os vs n (B = 512 words)\n");

@@ -1,15 +1,18 @@
-//! CI perf-sanity gate: a quick k-sweep on a small index that fails (exit
-//! code 1) if queries/sec drops by more than 4× between adjacent k steps.
+//! CI perf-sanity gate: a quick k-sweep on a small index built from the
+//! `IndexBuilder` defaults (the served engine) that fails (exit code 1) if
+//! queries/sec changes by more than 4× between adjacent k steps, in either
+//! direction.
 //!
-//! This is a cliff detector, not a benchmark. The incremental-escalation
-//! work (persistent descent frontier + bulk pulls, DESIGN.md §6) makes
-//! query cost near-linear in k: the measured worst adjacent-step drop is
-//! ~2× (at a k doubling, cost at most doubles). A regression that
-//! reintroduces per-round re-descent shows up as a super-linear step —
-//! 4×+ between neighbours — long before it reaches the old cliff's 16×.
+//! This is a cliff detector, not a benchmark. The resumable pilot drain
+//! (persistent descent frontier + bulk pulls, DESIGN.md §6) makes query
+//! cost near-linear in k: at a k doubling, cost at most doubles. A
+//! regression that reintroduces per-round re-descent shows up as a
+//! super-linear drop — 4×+ between neighbours — and a second query path
+//! that takes over at some k shows up as a jump, in whichever direction
+//! the slower path lies (the old §3.3 dispatch rose ~10× at its crossover).
 //! The 4× threshold leaves ~2× of headroom for shared-runner noise, and
-//! each step takes the best of three timed repeats so one scheduling
-//! stall cannot fake a cliff.
+//! each step takes the best of three timed repeats so one scheduling stall
+//! cannot fake a cliff.
 //!
 //! A second gate guards the read plane: with the sharded buffer pool and
 //! the striped read locks, 4 reader threads must clear at least 2× the
@@ -25,13 +28,14 @@
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use topk_bench::{build_index, read_qps, small_machine, uniform_points};
-use topk_core::{ConcurrentTopK, RankedIndex, SmallKEngine};
+use topk_bench::{read_qps, small_machine, uniform_points};
+use topk_core::{ConcurrentTopK, RankedIndex, TopKIndex};
 use workload::{Query, QueryGen};
 
 const REPEATS: usize = 3;
 const MIN_WINDOW_MS: u128 = 60;
-const MAX_ADJACENT_DROP: f64 = 4.0;
+/// Largest allowed queries/sec ratio between adjacent k steps, either way.
+const MAX_ADJACENT_STEP: f64 = 4.0;
 /// Minimum 4-thread / 1-thread queries/sec ratio (gate only on ≥ 4 cores;
 /// an unserialized read plane has headroom to near-linear there, so 2×
 /// leaves room for shared-runner noise without readmitting a global pool
@@ -63,8 +67,6 @@ fn read_scaling_ratio(pts: &[epst::Point]) -> Option<f64> {
     let device = emsim::Device::new(small_machine());
     let index = ConcurrentTopK::builder()
         .device(&device)
-        .small_k(SmallKEngine::Polylog)
-        .crossover_l(64)
         .expected_n(pts.len())
         .build_concurrent()
         .expect("gate index parameters are valid");
@@ -108,12 +110,17 @@ fn queries_per_sec(index: &dyn RankedIndex, queries: &[Query]) -> f64 {
 }
 
 fn main() -> ExitCode {
-    // Same machine and crossover as the query_scaling k sweep, smaller n
-    // for speed. Selectivity 0.25 puts ~4096 points in a typical window,
-    // so the k = 2048 step still does real deep-pull work.
+    // The served engine as the builder makes it; smaller n than the
+    // query_scaling k sweep, for speed. Selectivity 0.25 puts ~4096 points
+    // in a typical window, so the k = 2048 step still does real deep-pull
+    // work.
     let n = 1usize << 14;
     let pts = uniform_points(11, n);
-    let index = build_index(small_machine(), SmallKEngine::Polylog, 128, &pts);
+    let index = TopKIndex::builder()
+        .expected_n(n)
+        .build()
+        .expect("builder defaults are valid");
+    index.bulk_build(&pts).expect("distinct points");
 
     println!("perf_sanity — k sweep at n = {n}, 25% selectivity");
     println!(
@@ -132,23 +139,26 @@ fn main() -> ExitCode {
             step.map_or("-".into(), |s| format!("{s:.2}x")),
         );
         if let (Some((pk, _)), Some(s)) = (prev, step) {
-            if worst.is_none_or(|(_, _, w)| s > w) {
-                worst = Some((pk, k, s));
+            // A rise counts like a drop of the same factor.
+            let size = s.max(1.0 / s);
+            if worst.is_none_or(|(_, _, w)| size > w) {
+                worst = Some((pk, k, size));
             }
         }
         prev = Some((k, qps));
     }
 
     let (pk, k, s) = worst.expect("sweep has at least two steps");
-    if s > MAX_ADJACENT_DROP {
+    if s > MAX_ADJACENT_STEP {
         eprintln!(
-            "perf_sanity FAIL: throughput dropped {s:.2}x from k = {pk} to k = {k} \
-             (gate: {MAX_ADJACENT_DROP}x) — a k-cliff is back in the query hot path"
+            "perf_sanity FAIL: throughput changed {s:.2}x from k = {pk} to k = {k} \
+             (gate: {MAX_ADJACENT_STEP}x) — a k-cliff or a second query path is \
+             back in the query hot path"
         );
         return ExitCode::FAILURE;
     }
     println!(
-        "perf_sanity OK: worst adjacent drop {s:.2}x (k = {pk} -> {k}), gate {MAX_ADJACENT_DROP}x"
+        "perf_sanity OK: worst adjacent step {s:.2}x (k = {pk} -> {k}), gate {MAX_ADJACENT_STEP}x"
     );
 
     match read_scaling_ratio(&pts) {

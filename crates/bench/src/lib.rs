@@ -6,12 +6,17 @@
 //! regenerated by one of the binaries in `src/bin/`.
 //!
 //! The measurement helpers are generic over [`RankedIndex`], so the same
-//! code paths measure the paper's structure and the `baselines` engines.
+//! code paths measure the paper's structure ([`PaperIndex`]), the served
+//! index and the `baselines` engines.
 
 use emsim::{Device, EmConfig};
 use epst::Point;
-use topk_core::{Oracle, RankedIndex, SmallKEngine, TopKIndex};
+use topk_core::{Oracle, RankedIndex};
 use workload::{PointGen, Query};
+
+mod paper;
+
+pub use paper::{PaperIndex, SmallKEngine};
 
 /// Default machine used by the experiments: 4 KiB blocks (512 words), 16 MiB
 /// of memory.
@@ -24,16 +29,10 @@ pub fn small_machine() -> EmConfig {
     EmConfig::new(256, 256 * 256)
 }
 
-/// Build a fresh index over `points` on a new device with `em` parameters.
-pub fn build_index(em: EmConfig, engine: SmallKEngine, l: usize, points: &[Point]) -> TopKIndex {
-    let device = Device::new(em);
-    let index = TopKIndex::builder()
-        .device(&device)
-        .small_k(engine)
-        .crossover_l(l)
-        .expected_n(points.len().max(1))
-        .build()
-        .expect("bench index parameters are valid");
+/// Build a fresh [`PaperIndex`] (small-`k` `engine`, crossover `l`) over
+/// `points` on a new device with `em` parameters.
+pub fn build_index(em: EmConfig, engine: SmallKEngine, l: usize, points: &[Point]) -> PaperIndex {
+    let index = PaperIndex::new(&Device::new(em), engine, l, points.len().max(1));
     index
         .bulk_build(points)
         .expect("workload points are distinct by construction");
@@ -309,6 +308,8 @@ pub fn markdown_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{seq::SliceRandom, Rng, SeedableRng};
     use workload::QueryGen;
 
     #[test]
@@ -323,6 +324,70 @@ mod tests {
         assert_eq!(verify_queries(&index, &oracle, &queries), 0);
         let table = markdown_table(&["a", "b"], &[vec!["1".into(), "2".into()]]);
         assert!(table.contains("| a | b |"));
+    }
+
+    fn random_points(seed: u64, n: usize) -> Vec<Point> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut xs: Vec<u64> = (0..n as u64).map(|i| i * 3 + 1).collect();
+        let mut scores: Vec<u64> = (0..n as u64).map(|i| i * 13 + 7).collect();
+        xs.shuffle(&mut rng);
+        scores.shuffle(&mut rng);
+        xs.into_iter()
+            .zip(scores)
+            .map(|(x, score)| Point { x, score })
+            .collect()
+    }
+
+    #[test]
+    fn both_small_k_engines_agree() {
+        let pts = random_points(9, 2500);
+        for engine in [SmallKEngine::Polylog, SmallKEngine::St12] {
+            let index = PaperIndex::new(&Device::new(small_machine()), engine, 256, 1 << 20);
+            let mut oracle = Oracle::new();
+            for &p in &pts {
+                index.insert(p).unwrap();
+                oracle.insert(p);
+            }
+            let mut rng = StdRng::seed_from_u64(5);
+            for _ in 0..20 {
+                let a = rng.gen_range(0..20_000u64);
+                let b = rng.gen_range(a..=20_000u64);
+                let k = *[1usize, 2, 5, 10, 50, 200, 2000].choose(&mut rng).unwrap();
+                let expect = oracle.query(a, b, k);
+                assert_eq!(
+                    index.query(a, b, k).unwrap(),
+                    expect,
+                    "{engine:?} [{a},{b}] k={k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn expected_n_drives_auto_engine_resolution() {
+        // Huge blocks relative to a tiny expected n → lg n ≤ B^(1/6) → ST12.
+        let device = Device::new(EmConfig::new(1 << 20, 1 << 23));
+        let st12 = PaperIndex::new(&device, SmallKEngine::Auto, 256, 8);
+        assert!(st12.engine_name().contains("st12"));
+        // A large expected n on the same machine stays in the paper's main
+        // regime → the §3.3 polylog structure.
+        let device = Device::new(EmConfig::new(1 << 20, 1 << 23));
+        let polylog = PaperIndex::new(&device, SmallKEngine::Auto, 256, 1 << 20);
+        assert!(polylog.engine_name().contains("polylog"));
+    }
+
+    #[test]
+    fn auto_resolution_follows_regime_boundary() {
+        // Realistic block sizes put us in the B < lg^6 n regime → polylog.
+        assert_eq!(
+            SmallKEngine::Auto.resolve(512, 1 << 20),
+            SmallKEngine::Polylog
+        );
+        // Astronomically large blocks relative to n → the ST12 structure is
+        // already fast enough.
+        assert_eq!(SmallKEngine::Auto.resolve(1 << 20, 8), SmallKEngine::St12);
+        // Forced engines pass through.
+        assert_eq!(SmallKEngine::St12.resolve(512, 1 << 20), SmallKEngine::St12);
     }
 
     #[test]

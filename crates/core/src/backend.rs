@@ -21,9 +21,8 @@ mod tests {
         TopKIndex::builder()
             .durable(dir)
             .expected_n(256)
-            .crossover_l(64)
             .build()
-            .unwrap()
+            .expect("a scratch directory opens as a durable index")
     }
 
     #[test]

@@ -208,7 +208,7 @@ pub(crate) fn apply_to(index: &TopKIndex, batch: &UpdateBatch) -> Result<BatchSu
     // Pass 2: apply. A batch that rewrites a sizable fraction of the set is
     // cheapest as one global rebuild — the paper's own batched-maintenance
     // tool, `O((n/B)·log_B n)` I/Os for the whole batch instead of
-    // `O(log_B n)` descents across three components per op. The crossover
+    // `O(log_B n)` descents across both components per op. The crossover
     // (ops ≥ n/16) is conservative: measured per-op updates cost tens of
     // microseconds against ~1µs per point for a rebuild at bench scales.
     if let LiveView::Scan(mut live) = view {
@@ -260,7 +260,7 @@ mod tests {
 
     fn index_with(points: &[Point]) -> TopKIndex {
         let device = Device::new(EmConfig::new(128, 128 * 64));
-        let index = TopKIndex::new(&device, TopKConfig::for_tests());
+        let index = TopKIndex::new(&device, TopKConfig::default());
         index.bulk_build(points).unwrap();
         index
     }

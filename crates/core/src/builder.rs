@@ -1,11 +1,11 @@
 //! Fluent construction of indexes.
 //!
 //! The seed API made every caller perform a two-step dance — build an
-//! [`emsim::Device`], then pair it with a [`TopKConfig`] — and resolved the
-//! automatic engine choice against a hardcoded `n = 2^20`. [`IndexBuilder`]
+//! [`emsim::Device`], then pair it with a [`TopKConfig`]. [`IndexBuilder`]
 //! owns both steps: machine shape (`block_words`, `pool_bytes`), workload
-//! shape (`expected_n`, `small_k`, `crossover_l`), and engine resolution,
-//! with validation at `build()` time instead of panics later.
+//! shape (`expected_n`, which sizes the default shard count) and the
+//! serving topology, with validation at `build()` time instead of panics
+//! later.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -13,7 +13,7 @@ use std::sync::Arc;
 use emsim::{Device, EmConfig};
 
 use crate::concurrent::ConcurrentTopK;
-use crate::config::{SmallKEngine, TopKConfig};
+use crate::config::TopKConfig;
 use crate::error::{Result, TopKError};
 use crate::facade::TopK;
 use crate::index::TopKIndex;
@@ -95,22 +95,11 @@ impl IndexBuilder {
         self
     }
 
-    /// The anticipated number of stored points; [`SmallKEngine::Auto`] is
-    /// resolved against it (the paper's `lg n ≤ B^(1/6)` regime boundary).
+    /// The anticipated number of stored points; the default shard count of
+    /// [`IndexBuilder::build_sharded`] and [`IndexBuilder::build_auto`] is
+    /// derived from it.
     pub fn expected_n(mut self, n: usize) -> Self {
         self.config.expected_n = n;
-        self
-    }
-
-    /// Which small-`k` engine to use (default: [`SmallKEngine::Auto`]).
-    pub fn small_k(mut self, engine: SmallKEngine) -> Self {
-        self.config.small_k_engine = engine;
-        self
-    }
-
-    /// The crossover `l` between the small-`k` and pilot-set query paths.
-    pub fn crossover_l(mut self, l: usize) -> Self {
-        self.config.l = l;
         self
     }
 
@@ -240,11 +229,6 @@ impl IndexBuilder {
     }
 
     fn resolve(self) -> Result<(Device, TopKConfig, Option<PathBuf>)> {
-        if self.config.l == 0 {
-            return Err(TopKError::InvalidConfig {
-                what: "crossover_l must be at least 1",
-            });
-        }
         if self.config.rebuild_factor < 2 {
             return Err(TopKError::InvalidConfig {
                 what: "rebuild_factor must be at least 2",
@@ -300,7 +284,6 @@ mod tests {
             .block_words(128)
             .pool_bytes(1 << 20)
             .expected_n(1000)
-            .crossover_l(64)
             .build()
             .unwrap();
         assert_eq!(index.device().block_words(), 128);
@@ -312,30 +295,8 @@ mod tests {
     }
 
     #[test]
-    fn expected_n_drives_auto_engine_resolution() {
-        // Huge blocks relative to a tiny expected n → lg n ≤ B^(1/6) → ST12.
-        let st12 = TopKIndex::builder()
-            .block_words(1 << 20)
-            .pool_bytes(1 << 26)
-            .expected_n(8)
-            .build()
-            .unwrap();
-        assert!(st12.small_k_engine_name().contains("st12"));
-        // The default expected n on the same machine stays in the paper's
-        // main regime → the §3.3 polylog structure.
-        let polylog = TopKIndex::builder()
-            .block_words(1 << 20)
-            .pool_bytes(1 << 26)
-            .expected_n(1 << 20)
-            .build()
-            .unwrap();
-        assert!(polylog.small_k_engine_name().contains("polylog"));
-    }
-
-    #[test]
     fn invalid_parameters_are_rejected_by_name() {
         for (builder, needle) in [
-            (TopKIndex::builder().crossover_l(0), "crossover_l"),
             (TopKIndex::builder().rebuild_factor(1), "rebuild_factor"),
             (TopKIndex::builder().expected_n(0), "expected_n"),
             (TopKIndex::builder().block_words(2), "block_words"),
@@ -420,7 +381,6 @@ mod tests {
             let index = TopKIndex::builder()
                 .durable(&dir)
                 .expected_n(200)
-                .crossover_l(64)
                 .build()
                 .unwrap();
             assert!(index.is_durable());
@@ -435,7 +395,6 @@ mod tests {
         let index = TopKIndex::builder()
             .durable(&dir)
             .expected_n(200)
-            .crossover_l(64)
             .build()
             .unwrap();
         assert_eq!(index.len(), 40);

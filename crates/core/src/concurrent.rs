@@ -314,7 +314,7 @@ mod tests {
     #[test]
     fn sequential_smoke_through_the_wrapper() {
         let device = Device::new(EmConfig::new(256, 256 * 256));
-        let index = ConcurrentTopK::new(&device, TopKConfig::for_tests());
+        let index = ConcurrentTopK::new(&device, TopKConfig::default());
         assert!(index.is_empty());
         let pts: Vec<Point> = (0..500u64)
             .map(|i| Point::new(i * 3 + 1, i * 7 + 2))
@@ -351,7 +351,7 @@ mod tests {
     #[test]
     fn apply_commits_batches_atomically_under_one_lock() {
         let device = Device::new(EmConfig::new(256, 256 * 256));
-        let index = ConcurrentTopK::new(&device, TopKConfig::for_tests());
+        let index = ConcurrentTopK::new(&device, TopKConfig::default());
         let pts: Vec<Point> = (0..200u64)
             .map(|i| Point::new(i * 3 + 1, i * 7 + 2))
             .collect();

@@ -1,96 +1,23 @@
 //! Configuration of the combined index.
 
-/// Which approximate range k-selection structure backs the small-`k` path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SmallKEngine {
-    /// Follow the paper's Theorem 1 dispatch: use the Sheng–Tao-style
-    /// structure when `lg n ≤ B^(1/6)` (very large blocks), and the new §3.3
-    /// structure otherwise.
-    Auto,
-    /// Always use the paper's new §3.3 structure (Lemma 4).
-    Polylog,
-    /// Always use the Sheng–Tao 2012-style baseline (useful for the
-    /// comparison experiments).
-    St12,
-}
-
 /// Parameters of a [`TopKIndex`](crate::TopKIndex). Usually assembled via
 /// [`IndexBuilder`](crate::IndexBuilder) rather than by hand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TopKConfig {
-    /// The `l = O(polylg n)` parameter: the largest `k` served by the
-    /// small-`k` path; larger `k` go to the pilot-set structure of §2. The
-    /// paper sets the crossover at `Θ(B·lg n)`; at laptop scale the value is
-    /// configurable (see DESIGN.md §3 on parameter scaling).
-    pub l: usize,
-    /// Which small-`k` engine to use.
-    pub small_k_engine: SmallKEngine,
     /// Rebuild everything after the live size drifts by this factor from the
     /// size at the last rebuild (the paper's global rebuilding).
     pub rebuild_factor: u64,
-    /// The anticipated number of stored points, used to resolve
-    /// [`SmallKEngine::Auto`] against the paper's `lg n ≤ B^(1/6)` regime
-    /// boundary at construction time. The answer-correctness of the index
-    /// never depends on this value — only which engine serves small `k`.
+    /// The anticipated number of stored points, from which
+    /// [`IndexBuilder`](crate::IndexBuilder) derives the default shard
+    /// count. The answers of the index never depend on this value.
     pub expected_n: usize,
 }
 
 impl Default for TopKConfig {
     fn default() -> Self {
         Self {
-            l: 256,
-            small_k_engine: SmallKEngine::Auto,
             rebuild_factor: 2,
             expected_n: 1 << 20,
         }
-    }
-}
-
-impl TopKConfig {
-    /// A configuration tuned for small unit-test inputs.
-    pub fn for_tests() -> Self {
-        Self {
-            l: 64,
-            ..Self::default()
-        }
-    }
-
-    /// Resolve [`SmallKEngine::Auto`] for a machine with the given block size
-    /// (in words) and an expected input size `n`: the paper uses the
-    /// Sheng–Tao structure exactly when `lg n ≤ B^(1/6)`.
-    pub fn resolve_engine(&self, block_words: usize, n: usize) -> SmallKEngine {
-        match self.small_k_engine {
-            SmallKEngine::Auto => {
-                let lg_n = emsim::lg(n.max(2)) as f64;
-                let b_sixth = (block_words as f64).powf(1.0 / 6.0);
-                if lg_n <= b_sixth {
-                    SmallKEngine::St12
-                } else {
-                    SmallKEngine::Polylog
-                }
-            }
-            other => other,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn auto_resolution_follows_regime_boundary() {
-        let cfg = TopKConfig::default();
-        // Realistic block sizes put us in the B < lg^6 n regime → polylog.
-        assert_eq!(cfg.resolve_engine(512, 1 << 20), SmallKEngine::Polylog);
-        // Astronomically large blocks relative to n → the ST12 structure is
-        // already fast enough.
-        assert_eq!(cfg.resolve_engine(1 << 20, 8), SmallKEngine::St12);
-        // Forced engines pass through.
-        let forced = TopKConfig {
-            small_k_engine: SmallKEngine::St12,
-            ..cfg
-        };
-        assert_eq!(forced.resolve_engine(512, 1 << 20), SmallKEngine::St12);
     }
 }

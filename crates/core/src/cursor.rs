@@ -33,16 +33,15 @@
 //! # Incremental rounds
 //!
 //! The cursor does not re-run a top-`cap` query per round. It keeps a
-//! stamp-gated [`FrontierCache`]: one resumable engine drain
-//! ([`ThreeSidedDrain`] / [`PilotDrain`]) per canonical range — per
-//! overlapping `(range, shard)` pair on the sharded topology — plus the
-//! heads of a k-way merge over them. A round re-acquires the topology's
-//! read side, and if the observed version stamp equals the cached one
-//! (no write committed in between, so every saved frontier still describes
-//! the live trees) it resumes the merge exactly where the previous round
-//! stopped: only pages *below* the previous low-water mark are touched,
-//! so paginating `k` points in `r` rounds costs `O(log_B n + k/B)` I/Os
-//! total, not per round. When the stamp moved, [`Consistency::PerRound`]
+//! stamp-gated [`FrontierCache`]: one resumable [`PilotDrain`] per
+//! canonical range — per overlapping `(range, shard)` pair on the sharded
+//! topology — plus the heads of a k-way merge over them. A round
+//! re-acquires the topology's read side, and if the observed version stamp
+//! equals the cached one (no write committed in between, so every saved
+//! frontier still describes the live trees) it resumes the merge exactly
+//! where the previous round stopped: only pages *below* the previous
+//! low-water mark are touched, so paginating `k` points in `r` rounds
+//! costs `O(lg n + k/B)` I/Os total, not per round. When the stamp moved, [`Consistency::PerRound`]
 //! rebuilds the drains with the low-water score as their ceiling (the next
 //! round is a fresh threshold-set of the *current* state below the mark),
 //! and [`Consistency::Strict`] surfaces the invalidation instead.
@@ -66,7 +65,7 @@
 use std::collections::BinaryHeap;
 use std::str::FromStr;
 
-use epst::{PilotDrain, Point, ThreeSidedDrain};
+use epst::{PilotDrain, Point};
 
 use crate::error::{Result, TopKError};
 use crate::facade::TopK;
@@ -231,7 +230,6 @@ impl QueryCursor {
                     &lanes,
                     stamp,
                     need,
-                    self.k,
                     self.min_score,
                     self.low_water,
                 )
@@ -254,7 +252,6 @@ impl QueryCursor {
                     &lanes,
                     stamp,
                     need,
-                    self.k,
                     self.min_score,
                     self.low_water,
                 )
@@ -286,7 +283,6 @@ impl QueryCursor {
                     &lanes,
                     stamp,
                     need,
-                    self.k,
                     self.min_score,
                     self.low_water,
                 )
@@ -376,46 +372,15 @@ struct Lane<'g> {
     index: &'g TopKIndex,
 }
 
-/// One lane's resumable drain, over whichever engine serves the cursor's
-/// total ask: the §2 pilot structure when `k` is large enough to amortize
-/// its fixed `lg n` constant, the three-sided reporter otherwise — the same
-/// dispatch as the eager query path.
-enum RangeDrain {
-    Rep(ThreeSidedDrain),
-    Pilot(PilotDrain),
-}
-
-impl RangeDrain {
-    fn open(lane: &Lane<'_>, k: usize, lo: u64, hi: u64) -> Self {
-        if k >= lane.index.config().l {
-            RangeDrain::Pilot(lane.index.pilot().drain_window(lane.x1, lane.x2, lo, hi))
-        } else {
-            RangeDrain::Rep(lane.index.reporter().drain_window(lane.x1, lane.x2, lo, hi))
-        }
-    }
-
-    /// The drain's next point, if any. The merge consumes lanes one point
-    /// at a time, so a lane is only ever descended as far as the merge
-    /// actually emits from it.
-    fn pull_one(&mut self, index: &TopKIndex, scratch: &mut Vec<Point>) -> Option<Point> {
-        scratch.clear();
-        match self {
-            RangeDrain::Rep(d) => d.pull(index.reporter(), 1, scratch),
-            RangeDrain::Pilot(d) => d.pull(index.pilot(), 1, scratch),
-        };
-        scratch.pop()
-    }
-}
-
-/// The cursor's saved position *inside* the engines: one resumable drain
-/// per lane plus the pending head of each (pulled but not yet emitted),
+/// The cursor's saved position *inside* the pilot structures: one resumable
+/// drain per lane plus the pending head of each (pulled but not yet emitted),
 /// all valid exactly while the index's version stamp equals `stamp` —
 /// equal stamps witness that no write committed, so the saved frontiers
 /// still describe the live trees. A round that observes the same stamp
 /// resumes here and touches only pages below the previous low-water mark.
 struct FrontierCache {
     stamp: u64,
-    drains: Vec<RangeDrain>,
+    drains: Vec<PilotDrain>,
     /// The k-way merge heads, one per non-exhausted lane (`slot` indexes
     /// `drains`). Persisted so a point pulled at a round boundary is
     /// emitted by the next round instead of being lost.
@@ -434,7 +399,6 @@ fn round(
     lanes: &[Lane<'_>],
     stamp: u64,
     need: usize,
-    k: usize,
     min_score: u64,
     low_water: Option<(u64, u64)>,
 ) -> (Vec<Point>, bool) {
@@ -443,13 +407,17 @@ fn round(
     if !reuse {
         // `hi` is exclusive, so the mark's own score is not re-emitted.
         let hi = low_water.map_or(u64::MAX, |(score, _)| score);
-        let mut drains: Vec<RangeDrain> = lanes
+        let mut drains: Vec<PilotDrain> = lanes
             .iter()
-            .map(|lane| RangeDrain::open(lane, k, min_score, hi))
+            .map(|lane| {
+                lane.index
+                    .pilot()
+                    .drain_window(lane.x1, lane.x2, min_score, hi)
+            })
             .collect();
         let mut heads = BinaryHeap::with_capacity(drains.len());
         for (slot, (drain, lane)) in drains.iter_mut().zip(lanes).enumerate() {
-            if let Some(point) = drain.pull_one(lane.index, &mut scratch) {
+            if let Some(point) = pull_one(drain, lane, &mut scratch) {
                 heads.push(MergeEntry { point, slot });
             }
         }
@@ -469,7 +437,7 @@ fn round(
             .drains
             .get_mut(slot)
             .zip(lanes.get(slot))
-            .and_then(|(drain, lane)| drain.pull_one(lane.index, &mut scratch))
+            .and_then(|(drain, lane)| pull_one(drain, lane, &mut scratch))
         {
             cache.heads.push(MergeEntry { point: next, slot });
         }
@@ -487,6 +455,15 @@ fn round(
     // a non-exhausted lane always has exactly one pending head.
     let exhausted = cache.heads.is_empty();
     (out, exhausted)
+}
+
+/// The lane's next point, if any. The merge consumes lanes one point at a
+/// time, so a lane is only ever descended as far as the merge actually
+/// emits from it.
+fn pull_one(drain: &mut PilotDrain, lane: &Lane<'_>, scratch: &mut Vec<Point>) -> Option<Point> {
+    scratch.clear();
+    drain.pull(lane.index.pilot(), 1, scratch);
+    scratch.pop()
 }
 
 /// A serializable cursor position: the request plus `(emitted, low-water
@@ -677,9 +654,9 @@ mod tests {
 
     fn handles(device: &Device) -> Vec<TopK> {
         vec![
-            TopK::single(TopKIndex::new(device, TopKConfig::for_tests())),
-            TopK::concurrent(ConcurrentTopK::new(device, TopKConfig::for_tests())),
-            TopK::sharded(ShardedTopK::new(device, TopKConfig::for_tests(), 4)),
+            TopK::single(TopKIndex::new(device, TopKConfig::default())),
+            TopK::concurrent(ConcurrentTopK::new(device, TopKConfig::default())),
+            TopK::sharded(ShardedTopK::new(device, TopKConfig::default(), 4)),
         ]
     }
 
@@ -717,7 +694,7 @@ mod tests {
     #[test]
     fn cursor_holds_no_lock_between_rounds() {
         let device = Device::new(EmConfig::new(256, 256 * 256));
-        let index = std::sync::Arc::new(ConcurrentTopK::new(&device, TopKConfig::for_tests()));
+        let index = std::sync::Arc::new(ConcurrentTopK::new(&device, TopKConfig::default()));
         let pts = points(500);
         index.bulk_build(&pts).unwrap();
         let mut cursor = index
@@ -781,7 +758,7 @@ mod tests {
     #[test]
     fn no_op_batches_do_not_invalidate_strict_sharded_cursors() {
         let device = Device::new(EmConfig::new(256, 256 * 256));
-        let index = std::sync::Arc::new(ShardedTopK::new(&device, TopKConfig::for_tests(), 4));
+        let index = std::sync::Arc::new(ShardedTopK::new(&device, TopKConfig::default(), 4));
         index.bulk_build(&points(400)).unwrap();
         let mut cursor = index
             .clone()
@@ -813,7 +790,7 @@ mod tests {
     #[test]
     fn strict_cursor_detects_interleaved_writes() {
         let device = Device::new(EmConfig::new(256, 256 * 256));
-        let index = std::sync::Arc::new(ConcurrentTopK::new(&device, TopKConfig::for_tests()));
+        let index = std::sync::Arc::new(ConcurrentTopK::new(&device, TopKConfig::default()));
         index.bulk_build(&points(800)).unwrap();
         let mut cursor = index
             .clone()

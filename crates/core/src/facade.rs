@@ -407,9 +407,9 @@ mod tests {
     fn facade_delegates_to_every_topology() {
         let device = Device::new(EmConfig::new(128, 128 * 64));
         let handles = vec![
-            TopK::single(TopKIndex::new(&device, TopKConfig::for_tests())),
-            TopK::concurrent(ConcurrentTopK::new(&device, TopKConfig::for_tests())),
-            TopK::sharded(ShardedTopK::new(&device, TopKConfig::for_tests(), 4)),
+            TopK::single(TopKIndex::new(&device, TopKConfig::default())),
+            TopK::concurrent(ConcurrentTopK::new(&device, TopKConfig::default())),
+            TopK::sharded(ShardedTopK::new(&device, TopKConfig::default(), 4)),
         ];
         let pts: Vec<Point> = (0..300u64)
             .map(|i| Point::new(i * 3 + 1, i * 7 + 2))

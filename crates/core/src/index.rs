@@ -1,4 +1,5 @@
-//! The combined Theorem 1 index.
+//! The served index: the §2 pilot structure answers every top-k query, the
+//! 3-sided reporter answers counts and point lookups.
 
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -6,18 +7,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
 use emsim::Device;
-use epst::{top_k_by_score, PilotPst, Point, ThreeSidedPst};
-use kselect::{PolylogConfig, PolylogKSelect, RangeKSelect, St12Config, St12KSelect};
+use epst::{PilotPst, Point, ThreeSidedPst};
 
 use crate::batch::{BatchSummary, UpdateBatch};
 use crate::builder::IndexBuilder;
-use crate::config::{SmallKEngine, TopKConfig};
+use crate::config::TopKConfig;
 use crate::error::{Result, TopKError};
 use crate::persist::{DurableStats, DurableStore, OP_DELETE, OP_INSERT};
 use crate::query::{QueryRequest, TopKResults};
 
-/// The dynamic top-k range reporting index of Theorem 1. See the crate docs
-/// for the guarantees and an example.
+/// The dynamic top-k range reporting index. See the crate docs for the
+/// guarantees and an example.
 ///
 /// Constructed with [`TopKIndex::builder`]; all operations return
 /// [`Result`], rejecting misuse (duplicate coordinates or scores, inverted
@@ -25,13 +25,11 @@ use crate::query::{QueryRequest, TopKResults};
 pub struct TopKIndex {
     device: Device,
     config: TopKConfig,
-    /// §2 structure, used for `k ≥ l` (the paper's `k = Ω(B·lg n)` regime).
+    /// §2 structure: answers every top-k query, eager or streamed.
     pilot: PilotPst,
-    /// 3-sided reporting substrate of the small-`k` reduction.
+    /// 3-sided reporter: range counts, point lookups (and so the
+    /// duplicate-coordinate check) and the full point scan of rebuilds.
     reporter: ThreeSidedPst,
-    /// Approximate range k-selection structure for small `k`. The `Send +
-    /// Sync` bounds are what make the whole index shareable across threads.
-    small_k: Box<dyn RangeKSelect + Send + Sync>,
     /// Live size at the last global rebuild, for the rebuild policy.
     size_at_rebuild: AtomicU64,
     len: AtomicU64,
@@ -59,29 +57,13 @@ impl TopKIndex {
         IndexBuilder::new()
     }
 
-    /// Create an empty index on `device`. [`SmallKEngine::Auto`] is resolved
-    /// against `config.expected_n` (the builder threads it through; the seed
-    /// code hardcoded `1 << 20` here).
+    /// Create an empty index on `device`.
     pub fn new(device: &Device, config: TopKConfig) -> Self {
-        let engine = config.resolve_engine(device.block_words(), config.expected_n);
-        let small_k: Box<dyn RangeKSelect + Send + Sync> = match engine {
-            SmallKEngine::Polylog | SmallKEngine::Auto => Box::new(PolylogKSelect::new(
-                device,
-                "topk.polylog",
-                PolylogConfig::for_device(device, config.l),
-            )),
-            SmallKEngine::St12 => Box::new(St12KSelect::new(
-                device,
-                "topk.st12",
-                St12Config::for_device(device),
-            )),
-        };
         Self {
             device: device.clone(),
             config,
             pilot: PilotPst::new(device, "topk.pilot"),
             reporter: ThreeSidedPst::new(device, "topk.reporter"),
-            small_k,
             size_at_rebuild: AtomicU64::new(0),
             len: AtomicU64::new(0),
             version: AtomicU64::new(0),
@@ -182,13 +164,7 @@ impl TopKIndex {
 
     /// Space occupied by all components, in blocks.
     pub fn space_blocks(&self) -> u64 {
-        (self.pilot.space_blocks() + self.reporter.space_blocks() + self.small_k.space_blocks())
-            as u64
-    }
-
-    /// Name of the active small-`k` engine (for experiment reports).
-    pub fn small_k_engine_name(&self) -> &'static str {
-        self.small_k.name()
+        (self.pilot.space_blocks() + self.reporter.space_blocks()) as u64
     }
 
     /// The point stored at coordinate `x`, if any (`O(log_B n)` I/Os).
@@ -298,7 +274,6 @@ impl TopKIndex {
     pub(crate) fn insert_validated(&self, p: Point) {
         self.pilot.insert(p);
         self.reporter.insert(p);
-        self.small_k.insert(p);
         self.scores.write().unwrap().insert(p.score);
         self.len.fetch_add(1, Ordering::Relaxed);
         let stamp = self.version.fetch_add(1, Ordering::Release) + 1;
@@ -318,12 +293,6 @@ impl TopKIndex {
                 component: "pilot",
             });
         }
-        if !self.small_k.delete(p) {
-            return Err(TopKError::Inconsistent {
-                point: p,
-                component: "small-k",
-            });
-        }
         self.scores.write().unwrap().remove(&p.score);
         self.len.fetch_sub(1, Ordering::Relaxed);
         let stamp = self.version.fetch_add(1, Ordering::Release) + 1;
@@ -339,7 +308,6 @@ impl TopKIndex {
     pub(crate) fn rebuild_unvalidated(&self, points: &[Point]) {
         self.pilot.rebuild_all(points);
         self.reporter.rebuild_from_points(points);
-        self.small_k.rebuild(points);
         *self.scores.write().unwrap() = points.iter().map(|p| p.score).collect();
         self.len.store(points.len() as u64, Ordering::Relaxed);
         self.size_at_rebuild
@@ -397,9 +365,9 @@ impl TopKIndex {
     /// Report the `k` highest-scoring points with `x ∈ [x1, x2]`, sorted by
     /// descending score (fewer if the range holds fewer points).
     ///
-    /// Cost: `O(log_B n + k/B)` I/Os for `k ≤ l`, `O(lg n + k/B)` I/Os beyond
-    /// (Theorem 1's dispatch). To consume the answer incrementally — paying
-    /// only for the prefix actually taken — use [`TopKIndex::stream`].
+    /// Cost: `O(lg n + k/B)` I/Os, one bulk pull from a §2 pilot drain. To
+    /// consume the answer incrementally — paying only for the prefix actually
+    /// taken — use [`TopKIndex::stream`].
     ///
     /// # Errors
     ///
@@ -415,9 +383,9 @@ impl TopKIndex {
     }
 
     /// Stream the answer to `request` lazily, in descending score order: see
-    /// [`TopKResults`]. The §3.3 retry/fallback rounds (and, for large `k`,
-    /// the pilot fetches) run only as the caller demands more points, so
-    /// taking a short prefix of a large `k` never materializes the rest.
+    /// [`TopKResults`]. The pilot fetch rounds run only as the caller demands
+    /// more points, so taking a short prefix of a large `k` never
+    /// materializes the rest.
     ///
     /// The iterator borrows the index; on a
     /// [`ConcurrentTopK`](crate::ConcurrentTopK), stream through a read
@@ -447,51 +415,16 @@ impl TopKIndex {
         crate::cursor::QueryCursor::new(crate::facade::TopK::Single(self), request)
     }
 
-    /// The eager query path. `query()` keeps the seed's single-shot plan
-    /// (first §3.3 round targets rank `k`; large `k` fetched in one pilot
-    /// pass), so its I/O profile is unchanged; [`TopKIndex::stream`] trades
-    /// up to one extra doubling pass on full consumption for laziness.
+    /// The eager query path: one bulk pull from a §2 pilot drain. The
+    /// best-first drain stops at the `O(lg n + k/B)` page set that proves
+    /// the top `k` (DESIGN.md §6).
     pub(crate) fn query_unvalidated(&self, x1: u64, x2: u64, k: usize) -> Vec<Point> {
         if k == 0 || x1 > x2 || self.is_empty() {
             return Vec::new();
         }
-        if k >= self.config.l {
-            // Large k: one bulk pull from a §2 pilot drain, O(lg n + k/B).
-            // The best-first drain replaces `query_top_k`'s fixed-size heap
-            // selection + sibling expansion, whose Θ(φ·lg n) constant made
-            // every k ≥ l query pay the k = Θ(B·lg n) worst case (the
-            // "k-cliff" in BENCH_query_scaling.json).
-            let mut out = Vec::with_capacity(k.min(self.len() as usize));
-            self.pilot.drain(x1, x2).pull(&self.pilot, k, &mut out);
-            return out;
-        }
-        let total = self.reporter.count_in_range(x1, x2);
-        if total == 0 {
-            return Vec::new();
-        }
-        let want = (k as u64).min(total) as usize;
-        if total <= k as u64 {
-            // Small output: report the whole range.
-            let pts = self.reporter.query(x1, x2, 0);
-            return top_k_by_score(pts, k);
-        }
-        // The reduction of §3.3: get an approximate rank-k threshold, report
-        // everything above it, keep the exact top k. If the approximation
-        // under-delivers (possible when the AURS preconditions are violated,
-        // see DESIGN.md §3), double the target rank and retry; the final
-        // fallback reports the whole range.
-        let mut target = k as u64;
-        for _ in 0..8 {
-            let tau = self.small_k.select(x1, x2, target);
-            let tau = tau.unwrap_or_default();
-            let pts = self.reporter.query(x1, x2, tau);
-            if pts.len() >= want || tau == 0 {
-                return top_k_by_score(pts, k);
-            }
-            target = target.saturating_mul(2);
-        }
-        let pts = self.reporter.query(x1, x2, 0);
-        top_k_by_score(pts, k)
+        let mut out = Vec::with_capacity(k.min(self.len() as usize));
+        self.pilot.drain(x1, x2).pull(&self.pilot, k, &mut out);
+        out
     }
 
     /// Number of points with `x ∈ [x1, x2]` (`O(log_B n)` I/Os).
@@ -518,46 +451,8 @@ impl TopKIndex {
         self.reporter.all_points()
     }
 
-    // ----- component access for the streaming query path -----
-
-    pub(crate) fn reporter(&self) -> &ThreeSidedPst {
-        &self.reporter
-    }
-
     pub(crate) fn pilot(&self) -> &PilotPst {
         &self.pilot
-    }
-
-    pub(crate) fn small_k(&self) -> &(dyn RangeKSelect + Send + Sync) {
-        self.small_k.as_ref()
-    }
-
-    // ----- deprecated pre-redesign shims -----
-
-    /// Insert a point, panicking on precondition violations.
-    #[deprecated(since = "0.2.0", note = "use the fallible `insert` instead")]
-    pub fn insert_or_panic(&self, p: Point) {
-        self.insert(p).expect("insert failed");
-    }
-
-    /// Delete a point, panicking if the index is inconsistent; returns
-    /// whether it was present.
-    #[deprecated(since = "0.2.0", note = "use the fallible `delete` instead")]
-    pub fn delete_or_panic(&self, p: Point) -> bool {
-        self.delete(p).expect("delete failed")
-    }
-
-    /// Replace the contents with `points`, panicking on duplicates.
-    #[deprecated(since = "0.2.0", note = "use the fallible `bulk_build` instead")]
-    pub fn bulk_build_or_panic(&self, points: &[Point]) {
-        self.bulk_build(points).expect("bulk_build failed");
-    }
-
-    /// Query with the seed crate's tolerance: `k == 0` or an inverted range
-    /// silently yields an empty vector.
-    #[deprecated(since = "0.2.0", note = "use the fallible `query` or `stream` instead")]
-    pub fn query_or_empty(&self, x1: u64, x2: u64, k: usize) -> Vec<Point> {
-        self.query_unvalidated(x1, x2, k)
     }
 
     /// Run the internal consistency checks of every component (test support).
@@ -566,7 +461,6 @@ impl TopKIndex {
         self.reporter.check_invariants();
         assert_eq!(self.pilot.len(), self.len());
         assert_eq!(self.reporter.len(), self.len());
-        assert_eq!(self.small_k.len(), self.len());
         assert_eq!(self.scores.read().unwrap().len() as u64, self.len());
     }
 
@@ -620,7 +514,6 @@ impl std::fmt::Debug for TopKIndex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TopKIndex")
             .field("len", &self.len())
-            .field("engine", &self.small_k.name())
             .field("config", &self.config)
             .finish_non_exhaustive()
     }
@@ -649,7 +542,7 @@ mod tests {
     #[test]
     fn insert_rejects_duplicates_and_leaves_index_unchanged() {
         let dev = device();
-        let index = TopKIndex::new(&dev, TopKConfig::for_tests());
+        let index = TopKIndex::new(&dev, TopKConfig::default());
         index.insert(Point::new(10, 100)).unwrap();
         let err = index.insert(Point::new(10, 200)).unwrap_err();
         assert_eq!(
@@ -678,7 +571,7 @@ mod tests {
     #[test]
     fn bulk_build_rejects_duplicates_atomically() {
         let dev = device();
-        let index = TopKIndex::new(&dev, TopKConfig::for_tests());
+        let index = TopKIndex::new(&dev, TopKConfig::default());
         index
             .bulk_build(&[Point::new(1, 10), Point::new(2, 20)])
             .unwrap();
@@ -701,7 +594,7 @@ mod tests {
     #[test]
     fn query_validation_reports_misuse() {
         let dev = device();
-        let index = TopKIndex::new(&dev, TopKConfig::for_tests());
+        let index = TopKIndex::new(&dev, TopKConfig::default());
         index.insert(Point::new(10, 7)).unwrap();
         assert_eq!(
             index.query(30, 20, 3).unwrap_err(),
@@ -710,17 +603,12 @@ mod tests {
         assert_eq!(index.query(0, 100, 0).unwrap_err(), TopKError::ZeroK);
         // An empty (but not inverted) range is a legitimate empty answer.
         assert!(index.query(20, 30, 3).unwrap().is_empty());
-        #[allow(deprecated)]
-        {
-            assert!(index.query_or_empty(30, 20, 3).is_empty());
-            assert!(index.query_or_empty(0, 100, 0).is_empty());
-        }
     }
 
     #[test]
     fn component_disagreement_is_a_real_error_in_release_builds() {
         let dev = device();
-        let index = TopKIndex::new(&dev, TopKConfig::for_tests());
+        let index = TopKIndex::new(&dev, TopKConfig::default());
         for i in 1..=50u64 {
             index.insert(Point::new(i, i * 3)).unwrap();
         }
@@ -741,7 +629,7 @@ mod tests {
     #[test]
     fn get_finds_points_by_coordinate() {
         let dev = device();
-        let index = TopKIndex::new(&dev, TopKConfig::for_tests());
+        let index = TopKIndex::new(&dev, TopKConfig::default());
         assert_eq!(index.get(5), None);
         index.insert(Point::new(5, 50)).unwrap();
         assert_eq!(index.get(5), Some(Point::new(5, 50)));

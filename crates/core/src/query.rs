@@ -3,18 +3,15 @@
 //! [`QueryRequest`] names the query parameters once; [`TopKResults`] streams
 //! the answer lazily in descending score order. Laziness is the point: the
 //! seed's `query()` materialized a full `Vec<Point>` even when the caller
-//! consumed three results, and its §3.3 retry/fallback path could end up
-//! reporting the *whole range*. The iterator instead fetches in rounds — an
-//! escalating rank-threshold round for small `k`, a doubling pilot fetch for
-//! large `k` — and runs a round only when the caller actually demands more
-//! points, so a short prefix of a large `k` never pays for the rest.
+//! consumed three results. The iterator instead pulls from a §2
+//! [`PilotDrain`] in doubling rounds, and runs a round only when the caller
+//! actually demands more points, so a short prefix of a large `k` never pays
+//! for the rest.
 //!
-//! Escalation is *incremental*: the small-`k` rounds carry a low-water mark
-//! and fetch only the band of scores below the previous threshold
-//! ([`epst::ThreeSidedPst::query_band`]), and the large-`k` rounds pull from
-//! a persistent [`PilotDrain`] descent frontier — no round re-descends from
-//! the root or re-materializes the already-emitted prefix, so consuming `k`
-//! points costs `O(log_B n + k/B)` I/Os total regardless of round count.
+//! The drain is *resumable*: it keeps its best-first descent frontier
+//! between rounds, so no round re-descends from the root or re-materializes
+//! the already-emitted prefix, and consuming `k` points costs
+//! `O(lg n + k/B)` I/Os total regardless of round count.
 //!
 //! Because every round's points form a prefix of the global descending-score
 //! order, per-shard [`TopKResults`] streams also compose: a
@@ -263,40 +260,18 @@ impl QueryRequest {
     }
 }
 
-/// How the next batch of points is fetched. Both live regimes carry their
-/// escalation state *across* rounds — the §3.3 rounds a low-water mark so a
-/// round fetches only the band of scores below the previous threshold, the
-/// §2 rounds a saved [`PilotDrain`] descent frontier — so the total work for
-/// `k` results is `O(log_B n + k/B)` I/Os no matter how many rounds deliver
-/// them.
-enum FetchState {
-    /// Nothing fetched yet; the first demand decides the regime.
-    Start,
-    /// §3.3 reduction rounds: select an approximate rank-`target` score
-    /// threshold, report the band between it and the previous round's
-    /// threshold (`low_water`, `u64::MAX` before the first round), emit it.
-    SmallK {
-        target: u64,
-        attempts: u32,
-        low_water: u64,
-    },
-    /// §2 pilot rounds: a resumable drain over the pilot structure pulls the
-    /// next `next_n` points from its saved frontier; `next_n` doubles per
-    /// round so full consumption stays within a constant of one bulk fetch.
-    LargeK { drain: PilotDrain, next_n: usize },
-    /// Every reportable point has been handed out (or buffered).
-    Done,
-}
+/// Points the first pilot round of a stream pulls (fewer if `k` is
+/// smaller); each later round pulls twice as many as the one before. Every
+/// `k` below it is answered by one pull, while a short prefix of a large `k`
+/// pays for at most this many points.
+const FIRST_PULL: usize = 256;
 
 /// A lazy stream of query results in strictly descending score order,
 /// produced by [`TopKIndex::stream`].
 ///
-/// Every batch of points fetched from the index is a *score-threshold set* —
-/// all live points in range with score at least some `τ` — and such a set is
-/// always a prefix of the global descending-score order. The iterator
-/// therefore emits each batch's unseen suffix and only escalates (doubling
-/// the target rank or the pilot fetch size) when the caller keeps demanding
-/// points, capping at the seed's whole-range fallback after eight rounds.
+/// Every batch is the next run of the range's points in descending score
+/// order, pulled from one resumable pilot drain; the pull size doubles only
+/// when the caller keeps demanding points.
 ///
 /// The iterator borrows the index; under
 /// [`ConcurrentTopK`](crate::ConcurrentTopK), hold a read guard for the
@@ -307,8 +282,6 @@ enum FetchState {
 /// side per fetch round and holds no lock in between.
 pub struct TopKResults<'a> {
     index: &'a TopKIndex,
-    x1: u64,
-    x2: u64,
     k: usize,
     emitted: usize,
     /// Reusable round buffer: each fetch round clears and refills it in
@@ -316,7 +289,11 @@ pub struct TopKResults<'a> {
     /// grown to the round size.
     buf: Vec<Point>,
     pos: usize,
-    state: FetchState,
+    /// The saved frontier; `None` once every reportable point has been
+    /// handed out (or buffered).
+    drain: Option<PilotDrain>,
+    /// Points the next round pulls.
+    next_n: usize,
 }
 
 impl<'a> TopKResults<'a> {
@@ -328,20 +305,14 @@ impl<'a> TopKResults<'a> {
                        floor or resume point; use an owned cursor for the extensions",
             });
         }
-        let state = if index.is_empty() {
-            FetchState::Done
-        } else {
-            FetchState::Start
-        };
         Ok(Self {
             index,
-            x1: request.x1(),
-            x2: request.x2(),
             k: request.k(),
             emitted: 0,
             buf: Vec::new(),
             pos: 0,
-            state,
+            drain: Some(index.pilot().drain(request.x1(), request.x2())),
+            next_n: FIRST_PULL,
         })
     }
 
@@ -350,151 +321,23 @@ impl<'a> TopKResults<'a> {
         self.emitted
     }
 
-    /// Refill the round buffer with the band `tau ≤ score < hi` of the
-    /// range, sorted by descending score. Only pages holding scores below
-    /// the previous round's mark are materialized — the already-emitted
-    /// prefix is never fetched again.
-    fn fetch_band(&mut self, tau: u64, hi: u64) {
-        self.buf.clear();
-        self.pos = 0;
-        self.index
-            .reporter()
-            .query_band_into(self.x1, self.x2, tau, hi, &mut self.buf);
-        self.buf
-            .sort_unstable_by_key(|p| std::cmp::Reverse(p.score));
-    }
-
-    /// Cap the buffered band at what is still owed and stop fetching.
-    fn finish_band(&mut self) {
-        self.buf.truncate(self.k - self.emitted);
-        self.state = FetchState::Done;
-    }
-
-    /// Fetch the next batch. Guarantees progress: afterwards the buffer is
-    /// non-empty or the state is `Done`.
-    fn refill(&mut self) {
-        match self.state {
-            FetchState::Done => {}
-            FetchState::Start => {
-                if self.k >= self.index.config().l {
-                    let drain = self.index.pilot().drain(self.x1, self.x2);
-                    self.state = FetchState::LargeK {
-                        drain,
-                        next_n: self.index.config().l.max(1),
-                    };
-                    self.refill_large();
-                } else {
-                    self.refill_small_first();
-                }
-            }
-            FetchState::SmallK { .. } => self.refill_small_rounds(),
-            FetchState::LargeK { .. } => self.refill_large(),
-        }
-    }
-
-    /// First small-`k` fetch: decide between the whole-range case
-    /// (`total ≤ k`) and the §3.3 reduction rounds.
-    fn refill_small_first(&mut self) {
-        let total = self.index.reporter().count_in_range(self.x1, self.x2);
-        if total == 0 {
-            self.state = FetchState::Done;
-            return;
-        }
-        if total <= self.k as u64 {
-            self.fetch_band(0, u64::MAX);
-            self.finish_band();
-            return;
-        }
-        self.state = FetchState::SmallK {
-            target: self.k as u64,
-            attempts: 0,
-            low_water: u64::MAX,
-        };
-        self.refill_small_rounds();
-    }
-
-    /// One or more §3.3 rounds until a round yields new points (or the
-    /// whole-range fallback fires). Mirrors the retry loop of the eager
-    /// `query()`, except that each round fetches only the band of scores
-    /// `[tau, low_water)` below the previous round's threshold: the emitted
-    /// prefix is summarized by the carried mark, never re-materialized.
-    fn refill_small_rounds(&mut self) {
-        loop {
-            let FetchState::SmallK {
-                target,
-                attempts,
-                low_water,
-            } = self.state
-            else {
-                return;
-            };
-            if attempts >= 8 {
-                // The seed's final fallback: the whole remaining band.
-                self.fetch_band(0, low_water);
-                self.finish_band();
-                return;
-            }
-            let tau = self
-                .index
-                .small_k()
-                .select(self.x1, self.x2, target)
-                .unwrap_or_default();
-            if tau >= low_water && low_water != u64::MAX {
-                // The approximate rank threshold did not move below the
-                // previous round's; escalate without touching any page.
-                self.state = FetchState::SmallK {
-                    target: target.saturating_mul(2),
-                    attempts: attempts + 1,
-                    low_water,
-                };
-                continue;
-            }
-            self.fetch_band(tau, low_water);
-            if tau == 0 || self.emitted + self.buf.len() >= self.k {
-                // Either the whole range or at least k points cumulatively:
-                // this band is the final batch.
-                self.finish_band();
-                return;
-            }
-            self.state = FetchState::SmallK {
-                target: target.saturating_mul(2),
-                attempts: attempts + 1,
-                low_water: tau,
-            };
-            if !self.buf.is_empty() {
-                // An under-delivering round still yields a correct prefix;
-                // emit it and escalate only if the caller wants more.
-                return;
-            }
-        }
-    }
-
-    /// One §2 pilot round: pull the next `next_n` points from the drain's
+    /// One pilot round: pull the next `next_n` points from the drain's
     /// saved frontier (doubling `next_n` for the next demand). No round
     /// re-descends the script tree or re-fetches emitted points, so
     /// consuming all `k` costs the same I/Os as one bulk extraction.
-    fn refill_large(&mut self) {
-        let TopKResults {
-            index,
-            state,
-            buf,
-            pos,
-            emitted,
-            k,
-            ..
-        } = self;
-        let FetchState::LargeK { drain, next_n } = state else {
-            return;
-        };
-        buf.clear();
-        *pos = 0;
-        let want = (*next_n).min(*k - *emitted);
-        let got = drain.pull(index.pilot(), want, buf);
-        if got < want || *emitted + got >= *k {
-            *state = FetchState::Done;
+    /// `None` once the drain is spent.
+    fn refill(&mut self) -> Option<()> {
+        let drain = self.drain.as_mut()?;
+        self.buf.clear();
+        self.pos = 0;
+        let want = self.next_n.min(self.k - self.emitted);
+        let got = drain.pull(self.index.pilot(), want, &mut self.buf);
+        if got < want || self.emitted + got >= self.k {
+            self.drain = None;
         } else {
-            *next_n = next_n.saturating_mul(2);
+            self.next_n = self.next_n.saturating_mul(2);
         }
+        Some(())
     }
 }
 
@@ -511,10 +354,7 @@ impl Iterator for TopKResults<'_> {
                 self.emitted += 1;
                 return Some(p);
             }
-            if matches!(self.state, FetchState::Done) {
-                return None;
-            }
-            self.refill();
+            self.refill()?;
         }
     }
 
@@ -535,7 +375,7 @@ mod tests {
 
     fn build(n: u64) -> (Device, TopKIndex, Oracle) {
         let device = Device::new(EmConfig::new(256, 256 * 256));
-        let index = TopKIndex::new(&device, TopKConfig::for_tests());
+        let index = TopKIndex::new(&device, TopKConfig::default());
         let mut pts = Vec::new();
         for i in 0..n {
             let x = (i * 7919) % (8 * n.max(1)) + 1;
@@ -579,8 +419,9 @@ mod tests {
     fn full_consumption_matches_eager_query_across_regimes() {
         let (_d, index, oracle) = build(3000);
         let mut rng = StdRng::seed_from_u64(3);
-        // k below, at, and above the crossover l = 64; narrow and wide ranges.
-        for &k in &[1usize, 5, 63, 64, 65, 200, 1000, 5000] {
+        // k inside one pull, across the first round boundary and beyond
+        // several doublings; narrow and wide ranges.
+        for &k in &[1usize, 5, 63, 64, 65, 200, 256, 257, 1000, 5000] {
             for _ in 0..6 {
                 let a = rng.gen_range(0..24_000u64);
                 let b = rng.gen_range(a..=24_000u64);

@@ -96,7 +96,7 @@ pub trait RankedIndex: Send + Sync {
 
 impl RankedIndex for TopKIndex {
     fn engine_name(&self) -> &'static str {
-        self.small_k_engine_name()
+        "topk-index"
     }
 
     fn len(&self) -> u64 {
@@ -134,7 +134,7 @@ impl RankedIndex for TopKIndex {
 
 impl RankedIndex for ConcurrentTopK {
     fn engine_name(&self) -> &'static str {
-        self.read().small_k_engine_name()
+        "concurrent-topk"
     }
 
     fn len(&self) -> u64 {
@@ -218,9 +218,9 @@ mod tests {
     fn trait_objects_answer_like_the_inherent_api() {
         let device = Device::new(EmConfig::new(128, 128 * 64));
         let engines: Vec<Box<dyn RankedIndex>> = vec![
-            Box::new(TopKIndex::new(&device, TopKConfig::for_tests())),
-            Box::new(ConcurrentTopK::new(&device, TopKConfig::for_tests())),
-            Box::new(ShardedTopK::new(&device, TopKConfig::for_tests(), 4)),
+            Box::new(TopKIndex::new(&device, TopKConfig::default())),
+            Box::new(ConcurrentTopK::new(&device, TopKConfig::default())),
+            Box::new(ShardedTopK::new(&device, TopKConfig::default(), 4)),
         ];
         let pts: Vec<Point> = (0..300u64)
             .map(|i| Point::new(i * 3 + 1, i * 7 + 2))

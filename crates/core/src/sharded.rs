@@ -1266,7 +1266,7 @@ mod tests {
         let oracle = Oracle::from_points(&pts);
         for shards in [1usize, 3, 8] {
             let dev = device();
-            let index = ShardedTopK::new(&dev, TopKConfig::for_tests(), shards);
+            let index = ShardedTopK::new(&dev, TopKConfig::default(), shards);
             index.bulk_build(&pts).unwrap();
             assert_eq!(index.len(), 3000);
             assert_eq!(index.shard_count(), shards);
@@ -1294,7 +1294,7 @@ mod tests {
         let pts = points(13, 2000);
         let oracle = Oracle::from_points(&pts);
         let dev = device();
-        let index = ShardedTopK::new(&dev, TopKConfig::for_tests(), 4);
+        let index = ShardedTopK::new(&dev, TopKConfig::default(), 4);
         index.bulk_build(&pts).unwrap();
         let guard = index.read();
         let full: Vec<Point> = guard
@@ -1337,7 +1337,7 @@ mod tests {
     #[test]
     fn point_updates_route_and_validate_globally() {
         let dev = device();
-        let index = ShardedTopK::new(&dev, TopKConfig::for_tests(), 4);
+        let index = ShardedTopK::new(&dev, TopKConfig::default(), 4);
         let pts = points(17, 1200);
         index.bulk_build(&pts).unwrap();
         // Duplicate coordinate and duplicate score are rejected even when
@@ -1362,7 +1362,7 @@ mod tests {
     #[test]
     fn batches_commit_atomically_across_shards() {
         let dev = device();
-        let index = ShardedTopK::new(&dev, TopKConfig::for_tests(), 4);
+        let index = ShardedTopK::new(&dev, TopKConfig::default(), 4);
         let pts = points(19, 1000);
         index.bulk_build(&pts).unwrap();
         let mut oracle = Oracle::from_points(&pts);
@@ -1406,7 +1406,7 @@ mod tests {
     #[test]
     fn skewed_growth_triggers_rebalance_and_preserves_answers() {
         let dev = device();
-        let index = ShardedTopK::new(&dev, TopKConfig::for_tests(), 4);
+        let index = ShardedTopK::new(&dev, TopKConfig::default(), 4);
         let pts = points(23, 800);
         index.bulk_build(&pts).unwrap();
         let mut oracle = Oracle::from_points(&pts);
@@ -1440,7 +1440,7 @@ mod tests {
         // between load and lock acquisition and the retry path must route
         // every operation to the current partitioning.
         let dev = device();
-        let index = ShardedTopK::new(&dev, TopKConfig::for_tests(), 4);
+        let index = ShardedTopK::new(&dev, TopKConfig::default(), 4);
         let pts = points(29, 2000);
         index.bulk_build(&pts).unwrap();
         let oracle = Oracle::from_points(&pts);
@@ -1479,7 +1479,7 @@ mod tests {
     #[test]
     fn query_validation_matches_the_unsharded_contract() {
         let dev = device();
-        let index = ShardedTopK::new(&dev, TopKConfig::for_tests(), 4);
+        let index = ShardedTopK::new(&dev, TopKConfig::default(), 4);
         assert_eq!(
             index.query(9, 3, 5).unwrap_err(),
             TopKError::InvertedRange { x1: 9, x2: 3 }

@@ -5,19 +5,20 @@
 //! * [`ThreeSidedPst`] — classic external priority search tree answering
 //!   3-sided queries `[x1, x2] × [τ, ∞)` in `O(log_B n + t/B)` I/Os (with the
 //!   caveat documented on the type) and supporting `O(log_B n)` amortized
-//!   updates. This is the reporting substrate used by the approximate
-//!   k-selection → top-k reduction of §3.3.
+//!   updates. This is the reporting substrate of the approximate
+//!   k-selection → top-k reduction of §3.3, and it answers range counts and
+//!   point lookups for `topk-core`.
 //! * [`PilotPst`] — the paper's §2 structure (Lemma 1): an external priority
 //!   search tree over a constant-fan-out *script tree*, with *pilot sets*,
 //!   *representative blocks*, push-down / pull-up maintenance and
 //!   Frederickson-style heap selection at query time. It answers a top-k query
-//!   in `O(lg n + k/B)` I/Os and is the component used for `k ≥ B·lg n`.
+//!   in `O(lg n + k/B)` I/Os; `topk-core` answers every top-k query with it.
 //!
-//! Both structures also expose a *resumable drain* ([`ThreeSidedDrain`],
-//! [`PilotDrain`]): an owned best-first frontier that emits a range's points
-//! in descending score order across arbitrarily many pulls without ever
-//! re-descending from the root — the substrate of the incremental escalation
-//! rounds in `topk-core`'s streaming and cursor query paths.
+//! [`PilotPst`] also exposes a *resumable drain* ([`PilotDrain`]): an owned
+//! best-first frontier that emits a range's points in descending score order
+//! across arbitrarily many pulls without ever re-descending from the root —
+//! the substrate of the incremental rounds in `topk-core`'s streaming and
+//! cursor query paths.
 
 mod drain;
 mod pilot;
@@ -26,7 +27,7 @@ mod three_sided;
 
 pub use pilot::{PilotConfig, PilotDrain, PilotPst};
 pub use point::Point;
-pub use three_sided::{ThreeSidedConfig, ThreeSidedDrain, ThreeSidedPst};
+pub use three_sided::{ThreeSidedConfig, ThreeSidedPst};
 
 /// Select the `k` points with the highest scores from `points` (ties cannot
 /// occur because scores are distinct); returns them sorted by descending

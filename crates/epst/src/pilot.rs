@@ -949,9 +949,9 @@ pub struct PilotDrain {
 }
 
 /// Pulls at least this size go through the bulk select path instead of the
-/// per-point heap merge (see the `drain` module docs). Small enough that
-/// every `k ≥ l` query qualifies, large enough that a selection pass over
-/// the pool amortizes.
+/// per-point heap merge (see the `drain` module docs). Large enough that a
+/// selection pass over the pool amortizes; smaller pulls (top-10 queries,
+/// merge lanes pulling one point at a time) take the per-point merge.
 const BULK_PULL_MIN: usize = 64;
 
 impl PilotDrain {
@@ -977,7 +977,7 @@ impl PilotDrain {
                     out.push(p);
                     taken += 1;
                 }
-                Some(Step::Expand(id, _)) => pst.drain_expand(self, id),
+                Some(Step::Expand(id)) => pst.drain_expand(self, id),
             }
         }
         taken

@@ -32,7 +32,6 @@ use std::sync::RwLock;
 use emsim::{BlockFile, Device, Page, PageId};
 use wbbtree::{NodeId, WbbChild, WbbConfig, WbbTree};
 
-use crate::drain::{Frontier, Step};
 use crate::point::Point;
 
 /// Parameters of a [`ThreeSidedPst`], derived from the block size by
@@ -523,28 +522,11 @@ impl ThreeSidedPst {
 
     /// Report every point with `x ∈ [x1, x2]` and `score ≥ tau`.
     pub fn query(&self, x1: u64, x2: u64, tau: u64) -> Vec<Point> {
-        self.query_band(x1, x2, tau, u64::MAX)
-    }
-
-    /// Report every point with `x ∈ [x1, x2]` and `tau ≤ score < hi` (with
-    /// `hi == u64::MAX` meaning no ceiling, so `u64::MAX` scores are still
-    /// reported by a plain [`ThreeSidedPst::query`]). The escalation rounds
-    /// of the streaming query path use the ceiling to fetch only the band of
-    /// scores below the previous round's threshold instead of re-reporting
-    /// the whole prefix every round.
-    pub fn query_band(&self, x1: u64, x2: u64, tau: u64, hi: u64) -> Vec<Point> {
         let mut out = Vec::new();
-        self.query_band_into(x1, x2, tau, hi, &mut out);
-        out
-    }
-
-    /// [`ThreeSidedPst::query_band`] into a caller-owned buffer (appended,
-    /// unsorted), so a paging consumer can reuse one allocation per round.
-    pub fn query_band_into(&self, x1: u64, x2: u64, tau: u64, hi: u64, out: &mut Vec<Point>) {
-        if x1 > x2 || self.is_empty() || (hi != u64::MAX && tau >= hi) {
-            return;
+        if x1 <= x2 && !self.is_empty() {
+            self.query_rec(self.base.root(), x1, x2, tau, true, true, &mut out);
         }
-        self.query_rec(self.base.root(), x1, x2, tau, hi, true, true, out);
+        out
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -554,7 +536,6 @@ impl ThreeSidedPst {
         x1: u64,
         x2: u64,
         tau: u64,
-        hi: u64,
         lo_cut: bool,
         hi_cut: bool,
         out: &mut Vec<Point>,
@@ -564,9 +545,7 @@ impl ThreeSidedPst {
             out.extend(
                 p.pts
                     .iter()
-                    .filter(|q| {
-                        q.x >= x1 && q.x <= x2 && q.score >= tau && (hi == u64::MAX || q.score < hi)
-                    })
+                    .filter(|q| q.x >= x1 && q.x <= x2 && q.score >= tau)
                     .copied(),
             )
         });
@@ -597,7 +576,7 @@ impl ThreeSidedPst {
             let boundary_lo = lo_cut && i == il;
             let boundary_hi = hi_cut && i == ih;
             if boundary_lo || boundary_hi {
-                self.query_rec(c.id, x1, x2, tau, hi, boundary_lo, boundary_hi, out);
+                self.query_rec(c.id, x1, x2, tau, boundary_lo, boundary_hi, out);
                 continue;
             }
             let summ = summaries.iter().find(|s| s.child == c.id);
@@ -613,7 +592,7 @@ impl ThreeSidedPst {
                 None => true,
             };
             if visit {
-                self.query_rec(c.id, x1, x2, tau, hi, false, false, out);
+                self.query_rec(c.id, x1, x2, tau, false, false, out);
             }
         }
     }
@@ -655,87 +634,6 @@ impl ThreeSidedPst {
         let mut out = Vec::with_capacity(self.len() as usize);
         self.points_in_subtree(self.base.root(), &mut out);
         out
-    }
-
-    // ----- resumable drain -----
-
-    /// Open a resumable best-first drain over `x ∈ [x1, x2]`: repeated
-    /// [`ThreeSidedDrain::pull`] calls emit the range's points in descending
-    /// score order, each pull resuming from the saved frontier instead of
-    /// re-descending from the root. Construction costs no I/Os.
-    pub fn drain(&self, x1: u64, x2: u64) -> ThreeSidedDrain {
-        self.drain_window(x1, x2, 0, u64::MAX)
-    }
-
-    /// A drain restricted to the score window `lo ≤ score < hi` (with
-    /// `hi == u64::MAX` meaning no ceiling). The cursor layer uses the
-    /// ceiling to rebuild a frontier below its low-water mark after a write
-    /// invalidated the saved one.
-    pub fn drain_window(&self, x1: u64, x2: u64, lo: u64, hi: u64) -> ThreeSidedDrain {
-        ThreeSidedDrain {
-            x1,
-            x2,
-            lo,
-            hi,
-            frontier: Frontier::new(),
-        }
-    }
-
-    /// Read `node`'s page once: its in-window points become one sorted run
-    /// entry, its overlapping children become bounded node entries.
-    fn drain_expand(&self, d: &mut ThreeSidedDrain, node: NodeId, inherited: u64) {
-        let page = self.page_of(node);
-        let children = self.base.children(node);
-        self.pages.with(page, |p| {
-            let survivors: Vec<Point> = p
-                .pts
-                .iter()
-                .filter(|q| {
-                    q.x >= d.x1
-                        && q.x <= d.x2
-                        && q.score >= d.lo
-                        && (d.hi == u64::MAX || q.score < d.hi)
-                })
-                .copied()
-                .collect();
-            d.frontier.push_run(survivors);
-            if children.is_empty() {
-                return;
-            }
-            let il = children.partition_point(|c| c.max_key < d.x1);
-            if il == children.len() {
-                return;
-            }
-            let ih = children
-                .partition_point(|c| c.max_key < d.x2)
-                .min(children.len() - 1);
-            if il > ih {
-                return;
-            }
-            // Everything below this node scores at most our cache minimum
-            // (or, if the cache is empty, at most the bound we were pushed
-            // with) — the fallback bound for children whose summary cannot
-            // pin a tighter one.
-            let fallback = p
-                .pts
-                .iter()
-                .map(|q| q.score)
-                .min()
-                .unwrap_or(inherited)
-                .min(inherited);
-            for c in &children[il..=ih] {
-                let bound = match p.summaries.iter().find(|s| s.child == c.id) {
-                    Some(s) if s.cache_len > 0 => s.max_score,
-                    Some(s) if s.below > 0 => fallback,
-                    Some(_) => continue, // empty subtree
-                    // No summary (stale directory): be safe and visit.
-                    None => fallback,
-                };
-                if bound >= d.lo {
-                    d.frontier.push_node(bound, c.id);
-                }
-            }
-        });
     }
 
     // ----- invariants -----
@@ -787,58 +685,6 @@ impl ThreeSidedPst {
         }
         assert_eq!(below, below_actual, "below counter is stale");
         pts.len() as u64 + below_actual
-    }
-}
-
-/// A resumable best-first drain over a [`ThreeSidedPst`] range, created by
-/// [`ThreeSidedPst::drain`]. The drain owns its whole descent state (no
-/// borrows into the tree), so it can be suspended between pulls and resumed
-/// arbitrarily later — **as long as the tree has not been mutated** in
-/// between. After any insert, delete, or rebuild the saved frontier is
-/// meaningless and the drain must be discarded; the index layers gate reuse
-/// on a version stamp.
-#[derive(Debug)]
-pub struct ThreeSidedDrain {
-    x1: u64,
-    x2: u64,
-    /// Inclusive score floor: points below it are never emitted and subtrees
-    /// bounded below it are never entered.
-    lo: u64,
-    /// Exclusive score ceiling (`u64::MAX` = none): the resume low-water
-    /// mark.
-    hi: u64,
-    frontier: Frontier<NodeId>,
-}
-
-impl ThreeSidedDrain {
-    /// Emit up to `n` further points into `out`, in descending score order,
-    /// resuming from the saved frontier. Returns how many were emitted; fewer
-    /// than `n` means the drain is exhausted. `pst` must be the structure the
-    /// drain was created on, unmutated since.
-    pub fn pull(&mut self, pst: &ThreeSidedPst, n: usize, out: &mut Vec<Point>) -> usize {
-        if !self.frontier.primed() {
-            self.frontier.set_primed();
-            if self.x1 <= self.x2 && !pst.is_empty() && (self.hi == u64::MAX || self.lo < self.hi) {
-                self.frontier.push_node(u64::MAX, pst.base.root());
-            }
-        }
-        let mut taken = 0;
-        while taken < n {
-            match self.frontier.step() {
-                None => break,
-                Some(Step::Point(p)) => {
-                    out.push(p);
-                    taken += 1;
-                }
-                Some(Step::Expand(id, bound)) => pst.drain_expand(self, id, bound),
-            }
-        }
-        taken
-    }
-
-    /// Whether the drain has emitted everything in its range and window.
-    pub fn is_exhausted(&self) -> bool {
-        self.frontier.primed() && self.frontier.is_empty()
     }
 }
 
@@ -1017,102 +863,6 @@ mod tests {
             let tau = rng.gen_range(0..next * 17);
             assert_eq!(sorted(pst.query(a, b, tau)), oracle_query(&live, a, b, tau));
         }
-    }
-
-    fn oracle_descending(pts: &[Point], x1: u64, x2: u64, lo: u64, hi: u64) -> Vec<Point> {
-        let mut v: Vec<Point> = pts
-            .iter()
-            .filter(|p| p.x >= x1 && p.x <= x2 && p.score >= lo && (hi == u64::MAX || p.score < hi))
-            .copied()
-            .collect();
-        v.sort_unstable_by_key(|p| std::cmp::Reverse(p.score));
-        v
-    }
-
-    #[test]
-    fn query_band_matches_oracle_window() {
-        let dev = device();
-        let pst = ThreeSidedPst::new(&dev, "pst");
-        let pts = random_points(21, 1200);
-        pst.rebuild_from_points(&pts);
-        let mut rng = StdRng::seed_from_u64(22);
-        for _ in 0..30 {
-            let a = rng.gen_range(0..3600u64);
-            let b = rng.gen_range(a..=3600u64);
-            let tau = rng.gen_range(0..9000u64);
-            let hi = rng.gen_range(tau..=9000u64);
-            let got = sorted(pst.query_band(a, b, tau, hi));
-            let mut expect = oracle_descending(&pts, a, b, tau, hi);
-            expect.sort_unstable();
-            assert_eq!(got, expect, "band [{a},{b}] × [{tau},{hi})");
-        }
-        // No ceiling reports everything above tau, u64::MAX scores included.
-        assert_eq!(
-            sorted(pst.query_band(0, u64::MAX, 0, u64::MAX)),
-            sorted(pts.clone())
-        );
-    }
-
-    #[test]
-    fn drain_emits_descending_across_arbitrary_pull_sizes() {
-        let dev = device();
-        let pst = ThreeSidedPst::new(&dev, "pst");
-        let pts = random_points(31, 1800);
-        pst.rebuild_from_points(&pts);
-        let mut rng = StdRng::seed_from_u64(32);
-        for _ in 0..12 {
-            let a = rng.gen_range(0..5400u64);
-            let b = rng.gen_range(a..=5400u64);
-            let expect = oracle_descending(&pts, a, b, 0, u64::MAX);
-            let mut drain = pst.drain(a, b);
-            let mut got = Vec::new();
-            loop {
-                let chunk = rng.gen_range(1..40usize);
-                if drain.pull(&pst, chunk, &mut got) < chunk {
-                    break;
-                }
-            }
-            assert!(drain.is_exhausted());
-            assert_eq!(got, expect, "drain over [{a},{b}]");
-        }
-    }
-
-    #[test]
-    fn drain_window_resumes_below_a_mark() {
-        let dev = device();
-        let pst = ThreeSidedPst::new(&dev, "pst");
-        let pts = random_points(41, 1000);
-        pst.rebuild_from_points(&pts);
-        let expect = oracle_descending(&pts, 100, 2500, 0, u64::MAX);
-        // Take a prefix with one drain, then rebuild a fresh drain below the
-        // last emitted score — the cursor's stamp-invalidated resume path.
-        let mut first = pst.drain(100, 2500);
-        let mut head = Vec::new();
-        first.pull(&pst, 37, &mut head);
-        assert_eq!(head.len(), 37.min(expect.len()));
-        let mark = head.last().map(|p| p.score).unwrap_or(u64::MAX);
-        let mut rest = Vec::new();
-        pst.drain_window(100, 2500, 0, mark)
-            .pull(&pst, usize::MAX, &mut rest);
-        head.extend(rest);
-        assert_eq!(head, expect);
-    }
-
-    #[test]
-    fn drain_survives_interleaved_pulls_on_a_live_tree_between_rebuilds() {
-        // A drain is only valid against an unmutated tree, but pulls on the
-        // same tree state must not care how many pulls came before.
-        let dev = device();
-        let pst = ThreeSidedPst::new(&dev, "pst");
-        let pts = random_points(51, 700);
-        for &p in &pts {
-            pst.insert(p);
-        }
-        let expect = oracle_descending(&pts, 0, u64::MAX, 0, u64::MAX);
-        let mut drain = pst.drain(0, u64::MAX);
-        let mut got = Vec::new();
-        while drain.pull(&pst, 13, &mut got) == 13 {}
-        assert_eq!(got, expect);
     }
 
     #[test]

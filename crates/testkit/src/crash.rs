@@ -129,7 +129,6 @@ fn open(dir: &Path, expected_n: usize) -> TopKIndex {
     TopKIndex::builder()
         .durable(dir)
         .expected_n(expected_n.max(64))
-        .crossover_l(64)
         .build()
         .expect("durable build parameters are valid")
 }

@@ -15,7 +15,8 @@ use workload::{PointDistribution, PointGen};
 use crate::trace::{BatchItem, Trace, TraceOp};
 
 /// The `k` palette the generators draw queries from: both sides of the
-/// small-k/large-k crossover (`crossover_l = 64` in the harness builds).
+/// pilot drain's bulk-pull threshold (64 points per pull), up to answers
+/// that span several cursor rounds.
 const K_PALETTE: [usize; 9] = [1, 2, 7, 31, 63, 64, 65, 200, 1000];
 
 /// Relative weights of the operation classes in a generated trace.

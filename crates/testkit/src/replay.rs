@@ -127,7 +127,6 @@ pub fn replay(trace: &Trace, topology: Topology) -> Result<ReplayStats, Divergen
 pub fn replay_durable(trace: &Trace, dir: &std::path::Path) -> Result<ReplayStats, Divergence> {
     let handle = TopK::builder()
         .expected_n(expected_inserts(trace).max(64))
-        .crossover_l(64)
         .durable(dir)
         .build_auto()
         .expect("durable replay build parameters are valid");

@@ -47,7 +47,6 @@ impl Topology {
                 TopKIndex::builder()
                     .device(device)
                     .expected_n(expected_n)
-                    .crossover_l(64)
                     .build()
                     .expect("harness build parameters are valid"),
             ),
@@ -55,7 +54,6 @@ impl Topology {
                 ConcurrentTopK::builder()
                     .device(device)
                     .expected_n(expected_n)
-                    .crossover_l(64)
                     .build_concurrent()
                     .expect("harness build parameters are valid"),
             ),
@@ -64,7 +62,6 @@ impl Topology {
                     .device(device)
                     .expected_n(expected_n)
                     .shards(shards)
-                    .crossover_l(64)
                     .build_sharded()
                     .expect("harness build parameters are valid"),
             ),

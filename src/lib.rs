@@ -15,5 +15,5 @@ pub use emsim::{Device, EmConfig, IoDelta, IoSnapshot, IoStats};
 pub use topk_core::{
     BatchSummary, ConcurrentTopK, Consistency, IndexBuilder, Oracle, Point, QueryCursor,
     QueryRequest, RankedIndex, Result, ResumeToken, ShardedReadGuard, ShardedResults, ShardedTopK,
-    SmallKEngine, TopK, TopKConfig, TopKError, TopKIndex, TopKResults, UpdateBatch, UpdateOp,
+    TopK, TopKConfig, TopKError, TopKIndex, TopKResults, UpdateBatch, UpdateOp,
 };

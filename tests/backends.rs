@@ -21,7 +21,6 @@ fn build_ram(device: &Device, expected_n: usize) -> TopKIndex {
     TopKIndex::builder()
         .device(device)
         .expected_n(expected_n)
-        .crossover_l(64)
         .build()
         .unwrap()
 }
@@ -30,7 +29,6 @@ fn build_file(dir: &std::path::Path, expected_n: usize) -> TopKIndex {
     TopKIndex::builder()
         .durable(dir)
         .expected_n(expected_n)
-        .crossover_l(64)
         .build()
         .unwrap()
 }
@@ -144,7 +142,6 @@ fn reopen_with_a_different_block_size_recovers_the_same_points() {
             .block_words(block_words)
             .pool_bytes(block_words * 8 * 64)
             .expected_n(600)
-            .crossover_l(64)
             .build()
             .unwrap()
     };
@@ -173,11 +170,7 @@ fn reopen_with_a_different_block_size_recovers_the_same_points() {
 #[test]
 fn snapshot_restore_round_trips_across_every_distribution() {
     for (i, distribution) in DISTRIBUTIONS.into_iter().enumerate() {
-        let source = TopK::builder()
-            .expected_n(300)
-            .crossover_l(64)
-            .build_auto()
-            .unwrap();
+        let source = TopK::builder().expected_n(300).build_auto().unwrap();
         let points = PointGen {
             distribution,
             seed: 0x5AAB + i as u64,
@@ -198,7 +191,6 @@ fn snapshot_restore_round_trips_across_every_distribution() {
         let restored = TopK::builder()
             .durable(&dir)
             .expected_n(300)
-            .crossover_l(64)
             .build_auto()
             .unwrap();
         assert_eq!(restored.len(), source.len(), "{distribution:?}");

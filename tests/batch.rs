@@ -61,8 +61,8 @@ fn batched_apply_is_observation_equivalent_to_pointwise() {
     for seed in 0..5u64 {
         let mut rng = StdRng::seed_from_u64(0xBA7C4 ^ seed);
         let initial: Vec<Point> = (0..1_500u64).map(point).collect();
-        let pointwise = TopKIndex::new(&device(), TopKConfig::for_tests());
-        let batched = TopKIndex::new(&device(), TopKConfig::for_tests());
+        let pointwise = TopKIndex::new(&device(), TopKConfig::default());
+        let batched = TopKIndex::new(&device(), TopKConfig::default());
         pointwise.bulk_build(&initial).unwrap();
         batched.bulk_build(&initial).unwrap();
         let mut oracle = Oracle::from_points(&initial);
@@ -134,7 +134,7 @@ fn mid_batch_readers_see_only_pre_or_post_states() {
     const BATCHES: usize = 24;
     const OPS_PER_BATCH: usize = 64;
 
-    let index = ConcurrentTopK::new(&device(), TopKConfig::for_tests());
+    let index = ConcurrentTopK::new(&device(), TopKConfig::default());
     let initial: Vec<Point> = (0..2_000u64).map(point).collect();
     index.bulk_build(&initial).unwrap();
 
@@ -216,7 +216,7 @@ fn mid_batch_readers_see_only_pre_or_post_states() {
 
 #[test]
 fn concurrent_apply_validation_failures_leave_no_trace() {
-    let index = ConcurrentTopK::new(&device(), TopKConfig::for_tests());
+    let index = ConcurrentTopK::new(&device(), TopKConfig::default());
     index
         .bulk_build(&(0..100u64).map(point).collect::<Vec<_>>())
         .unwrap();

@@ -59,7 +59,7 @@ fn concurrent_queries_interleaved_with_locked_updates_match_oracle() {
 
     let seed = Seed::from_env(1);
     let device = Device::new(EmConfig::new(256, 256 * 256));
-    let index = ConcurrentTopK::new(&device, TopKConfig::for_tests());
+    let index = ConcurrentTopK::new(&device, TopKConfig::default());
     let initial = points(seed.value(), 0, 4_000);
     index.bulk_build(&initial).unwrap();
 
@@ -424,7 +424,7 @@ fn read_side_runs_concurrently_and_exactly_matches() {
     // lose a single increment (each query's accesses are all recorded).
     const THREADS: usize = 8;
     let device = Device::new(EmConfig::new(256, 256 * 256));
-    let index = ConcurrentTopK::new(&device, TopKConfig::for_tests());
+    let index = ConcurrentTopK::new(&device, TopKConfig::default());
     let pts = points(7, 0, 6_000);
     index.bulk_build(&pts).unwrap();
     let oracle = Oracle::from_points(&pts);

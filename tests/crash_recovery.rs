@@ -71,7 +71,6 @@ fn flush_and_drop_cache_interleave_safely_under_faults() {
     let index = TopKIndex::builder()
         .durable(&dir)
         .expected_n(200)
-        .crossover_l(64)
         .build()
         .unwrap();
     // Interleave cache maintenance with committed writes: neither verb may
@@ -112,7 +111,6 @@ fn flush_and_drop_cache_interleave_safely_under_faults() {
     let recovered = TopKIndex::builder()
         .durable(&dir)
         .expected_n(200)
-        .crossover_l(64)
         .build()
         .unwrap();
     assert_eq!(recovered.len(), committed_len, "committed ops were lost");
@@ -127,7 +125,6 @@ fn open_durable(dir: &std::path::Path) -> TopKIndex {
     TopKIndex::builder()
         .durable(dir)
         .expected_n(200)
-        .crossover_l(64)
         .build()
         .unwrap()
 }

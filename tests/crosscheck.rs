@@ -1,7 +1,8 @@
 //! Randomized cross-checks, generic over engines: every [`RankedIndex`]
-//! implementation — the paper's structure (both small-k engines, plus the
-//! concurrent wrapper) and both baselines — must agree with the in-memory
-//! oracle on every query, for arbitrary point sets and query parameters.
+//! implementation — the served index in every topology, the paper's
+//! Theorem 1 dispatch with both small-k engines, and both baselines — must
+//! agree with the in-memory oracle on every query, for arbitrary point sets
+//! and query parameters.
 //! (Formerly proptest-based; now seeded random cases with the same shape,
 //! reproducible by construction.) Seeds come from `topk_testkit::Seed`:
 //! set `TOPK_SEED=<n>` to pin every case to one base seed, and every
@@ -11,9 +12,10 @@ use emsim::{Device, EmConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use topk::{
-    ConcurrentTopK, Oracle, Point, QueryRequest, RankedIndex, ShardedTopK, SmallKEngine, TopK,
-    TopKConfig, TopKError, TopKIndex,
+    ConcurrentTopK, Oracle, Point, QueryRequest, RankedIndex, ShardedTopK, TopK, TopKConfig,
+    TopKError, TopKIndex,
 };
+use topk_bench::{PaperIndex, SmallKEngine};
 use topk_testkit::Seed;
 
 fn distinct_points(raw: Vec<(u64, u64)>) -> Vec<Point> {
@@ -28,30 +30,28 @@ fn distinct_points(raw: Vec<(u64, u64)>) -> Vec<Point> {
 
 /// Every engine in the workspace, as trait objects on one shared device.
 fn engines(device: &Device) -> Vec<(&'static str, Box<dyn RankedIndex>)> {
-    let polylog = TopKIndex::builder()
+    let built = TopKIndex::builder()
         .device(device)
-        .small_k(SmallKEngine::Polylog)
-        .crossover_l(64)
-        .expected_n(1 << 10)
-        .build()
-        .unwrap();
-    let st12 = TopKIndex::builder()
-        .device(device)
-        .small_k(SmallKEngine::St12)
-        .crossover_l(64)
         .expected_n(1 << 10)
         .build()
         .unwrap();
     vec![
-        ("topk-polylog", Box::new(polylog)),
-        ("topk-st12", Box::new(st12)),
+        ("topk", Box::new(built)),
+        (
+            "paper-polylog",
+            Box::new(PaperIndex::new(device, SmallKEngine::Polylog, 64, 1 << 10)),
+        ),
+        (
+            "paper-st12",
+            Box::new(PaperIndex::new(device, SmallKEngine::St12, 64, 1 << 10)),
+        ),
         (
             "concurrent",
-            Box::new(ConcurrentTopK::new(device, TopKConfig::for_tests())),
+            Box::new(ConcurrentTopK::new(device, TopKConfig::default())),
         ),
         (
             "sharded",
-            Box::new(ShardedTopK::new(device, TopKConfig::for_tests(), 4)),
+            Box::new(ShardedTopK::new(device, TopKConfig::default(), 4)),
         ),
         (
             "naive",
@@ -60,16 +60,13 @@ fn engines(device: &Device) -> Vec<(&'static str, Box<dyn RankedIndex>)> {
         ("ram-pst", Box::new(baselines::RamPst::new(device))),
         (
             "facade-single",
-            Box::new(TopK::single(TopKIndex::new(
-                device,
-                TopKConfig::for_tests(),
-            ))),
+            Box::new(TopK::single(TopKIndex::new(device, TopKConfig::default()))),
         ),
         (
             "facade-sharded",
             Box::new(TopK::sharded(ShardedTopK::new(
                 device,
-                TopKConfig::for_tests(),
+                TopKConfig::default(),
                 4,
             ))),
         ),
@@ -223,7 +220,7 @@ fn deletions_never_leave_ghosts() {
         let delete_every = rng.gen_range(2usize..5);
         let pts = distinct_points(raw);
         let device = Device::new(EmConfig::new(128, 128 * 128));
-        let index = TopKIndex::new(&device, TopKConfig::for_tests());
+        let index = TopKIndex::new(&device, TopKConfig::default());
         let mut oracle = Oracle::new();
         for &p in &pts {
             index.insert(p).unwrap();

@@ -240,7 +240,7 @@ fn cursors_come_from_arcs_and_the_ranked_index_extension() {
     // The acceptance shape: an owned cursor straight from an
     // Arc<ConcurrentTopK> / Arc<ShardedTopK>, no facade in sight.
     let device = device();
-    let concurrent = Arc::new(ConcurrentTopK::new(&device, topk::TopKConfig::for_tests()));
+    let concurrent = Arc::new(ConcurrentTopK::new(&device, topk::TopKConfig::default()));
     let pts = PointGen::uniform(3).generate(300);
     concurrent.bulk_build(&pts).unwrap();
     let got: Vec<Point> = concurrent
@@ -251,7 +251,7 @@ fn cursors_come_from_arcs_and_the_ranked_index_extension() {
         .collect();
     assert_eq!(got, concurrent.query(0, u64::MAX, 40).unwrap());
 
-    let sharded = Arc::new(ShardedTopK::new(&device, topk::TopKConfig::for_tests(), 4));
+    let sharded = Arc::new(ShardedTopK::new(&device, topk::TopKConfig::default(), 4));
     sharded.bulk_build(&pts).unwrap();
     let got: Vec<Point> = sharded
         .clone()
@@ -265,7 +265,7 @@ fn cursors_come_from_arcs_and_the_ranked_index_extension() {
     // the facade instead of panicking.
     let facade: Box<dyn RankedIndex> = Box::new(TopK::sharded(ShardedTopK::new(
         &device,
-        topk::TopKConfig::for_tests(),
+        topk::TopKConfig::default(),
         2,
     )));
     facade.bulk_build(&pts).unwrap();

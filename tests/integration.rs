@@ -1,10 +1,12 @@
-//! Cross-crate integration tests: the combined index against the oracle under
-//! larger randomized workloads, across machine configurations and engines.
+//! Cross-crate integration tests: the served index (and the paper's ST12
+//! dispatch from the experiment harness) against the oracle under larger
+//! randomized workloads, across machine configurations.
 
 use emsim::{Device, EmConfig};
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, Rng, SeedableRng};
-use topk_core::{Oracle, Point, SmallKEngine, TopKConfig, TopKIndex};
+use topk_bench::{PaperIndex, SmallKEngine};
+use topk_core::{Oracle, Point, RankedIndex, TopKConfig, TopKIndex};
 
 fn random_points(seed: u64, n: usize) -> Vec<Point> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -18,7 +20,13 @@ fn random_points(seed: u64, n: usize) -> Vec<Point> {
         .collect()
 }
 
-fn check_many_queries(index: &TopKIndex, oracle: &Oracle, seed: u64, rounds: usize, x_max: u64) {
+fn check_many_queries(
+    index: &dyn RankedIndex,
+    oracle: &Oracle,
+    seed: u64,
+    rounds: usize,
+    x_max: u64,
+) {
     let mut rng = StdRng::seed_from_u64(seed);
     for _ in 0..rounds {
         let a = rng.gen_range(0..x_max);
@@ -51,7 +59,7 @@ fn long_mixed_workload_small_blocks() {
     // Small blocks force deep trees and frequent splits, stressing the
     // secondary-structure maintenance of every component.
     let device = Device::new(EmConfig::new(128, 128 * 128));
-    let index = TopKIndex::new(&device, TopKConfig::for_tests());
+    let index = TopKIndex::new(&device, TopKConfig::default());
     let mut oracle = Oracle::new();
     let mut rng = StdRng::seed_from_u64(7);
     let mut live: Vec<Point> = Vec::new();
@@ -83,11 +91,7 @@ fn long_mixed_workload_small_blocks() {
 #[test]
 fn st12_engine_end_to_end() {
     let device = Device::new(EmConfig::new(256, 256 * 256));
-    let cfg = TopKConfig {
-        small_k_engine: SmallKEngine::St12,
-        ..TopKConfig::for_tests()
-    };
-    let index = TopKIndex::new(&device, cfg);
+    let index = PaperIndex::new(&device, SmallKEngine::St12, 256, 1 << 20);
     let pts = random_points(11, 8_000);
     for &p in &pts {
         index.insert(p).unwrap();
@@ -131,7 +135,7 @@ fn query_costs_stay_logarithmic_plus_output() {
 #[test]
 fn global_rebuild_keeps_answers_correct_as_n_doubles() {
     let device = Device::new(EmConfig::new(256, 256 * 256));
-    let index = TopKIndex::new(&device, TopKConfig::for_tests());
+    let index = TopKIndex::new(&device, TopKConfig::default());
     let mut oracle = Oracle::new();
     // Grow from empty to 6000 points (several doublings → several rebuilds).
     let pts = random_points(13, 6_000);
